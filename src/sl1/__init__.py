@@ -17,8 +17,8 @@ from .conditions import (ConditionEstimate, SampleBoundParams, SearchBudget,
                          condition_verdict, estimate_conditions, half_normal_mean,
                          l1_norm_deviation, sample_complexity_bound,
                          sign_cross_deviation)
-from .core import (compressibility_error, hard_threshold, mat_transpose_vec, mat_vec,
-                   norm_lp, partition_support, restrict, sign_vec)
+from .core import (compressibility_error, hard_threshold, mat_vec, norm_lp,
+                   partition_support, restrict, sign_vec)
 from .generators import (SparseInstance, gen_compressible_signal, gen_gaussian_matrix,
                          gen_laplacian_noise, gen_sparse_noise, gen_sparse_signal,
                          load_bundle, make_instance, save_bundle)
@@ -37,7 +37,7 @@ __all__ = [
     "gen_compressible_signal", "gen_gaussian_matrix", "gen_laplacian_noise",
     "gen_sparse_noise", "gen_sparse_signal", "half_normal_mean", "hard_threshold",
     "l1_norm_deviation", "load_bundle", "lp_formulate", "make_instance",
-    "mat_transpose_vec", "mat_vec", "norm_lp", "operator_norm_estimate",
+    "mat_vec", "norm_lp", "operator_norm_estimate",
     "partition_support", "project_l1_ball", "recovery_error_bound",
     "recovery_error_bound_sharp", "restrict", "run_grid", "run_trial",
     "sample_complexity_bound", "save_bundle", "sign_cross_deviation", "sign_vec",

@@ -15,7 +15,6 @@ that depend on estimated deviation constants.
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -25,7 +24,7 @@ from . import core
 from .conditions import ConditionEstimate, condition_verdict
 from .generators import make_instance, SparseInstance
 from .rng import RngSpec
-from .solver import SolverConfig, SolverResult, solve
+from .solver import STATUS_OPTIMAL, SolverConfig, SolverResult, solve
 
 EXACT_RECOVERY_RTOL = 1e-5
 
@@ -329,8 +328,7 @@ class GridResult:
                 "err_q90": _quantile(errs, 0.9),
                 "bound_rate": sum(r.bound_holds for r in cell) / max(1, len(cell)),
                 "exact_rate": sum(r.exact for r in cell) / max(1, len(cell)),
-                "solved_rate": sum(r.status in ("optimal", "feasible-suboptimal")
-                                   for r in cell) / max(1, len(cell)),
+                "solved_rate": sum(r.status == STATUS_OPTIMAL for r in cell) / max(1, len(cell)),
                 "mean_iters": sum(r.iters for r in cell) / max(1, len(cell)),
             })
         return summaries
@@ -345,34 +343,16 @@ class GridResult:
         }
 
 
-def run_grid(spec: GridSpec, threads: int = 1) -> GridResult:
-    """Run every (m, k, s) cell for the configured number of trials.
-
-    Trials own disjoint sub-streams and results are folded in a fixed
-    (cell, trial) order, so output is independent of scheduling.
-    """
+def run_grid(spec: GridSpec) -> GridResult:
+    """Run every (m, k, s) cell for the configured number of trials, in
+    (cell, trial) order; each trial owns a disjoint sub-stream."""
     base = RngSpec(spec.seed, spec.stream)
     config = spec.solver_config()
-    jobs = []
-    for ci, (m, k, s) in enumerate(spec.cells()):
-        for t in range(spec.trials):
-            jobs.append((ci * spec.trials + t,
-                         (spec.n, m, k, s, base.child(ci).child(t))))
-
-    def run(args):
-        n, m, k, s, rng = args
-        return run_trial(n, m, k, s, rng, amplitude=spec.amplitude,
-                         spike_scale=spec.spike_scale, config=config)
-
-    records = [None] * len(jobs)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            for idx, record in zip([j[0] for j in jobs],
-                                   pool.map(run, [j[1] for j in jobs])):
-                records[idx] = record
-    else:
-        for idx, args in jobs:
-            records[idx] = run(args)
+    records = [run_trial(spec.n, m, k, s, base.child(ci).child(t),
+                         amplitude=spec.amplitude, spike_scale=spec.spike_scale,
+                         config=config)
+               for ci, (m, k, s) in enumerate(spec.cells())
+               for t in range(spec.trials)]
     return GridResult(spec=spec, records=records)
 
 

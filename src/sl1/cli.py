@@ -25,13 +25,6 @@ EXIT_IO = 3
 EXIT_SOLVER = 4
 
 
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("SL1_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _load_config(path) -> dict:
     doc = matio.read_json(path)
     if isinstance(doc.get("config"), dict):
@@ -161,7 +154,7 @@ _CONDITIONS_KEYS = {
     "bundle": None, "matrix": None, "out": None, "k": None,
     "seed": 0, "stream": 0,
     "supports": 64, "pairs": 128, "starts": 6, "steps": 40,
-    "exhaustive_cap": 10_000, "overlap_share": 0.5, "workers": None,
+    "exhaustive_cap": 10_000, "overlap_share": 0.5,
 }
 
 
@@ -178,11 +171,8 @@ def cmd_conditions(args) -> int:
     else:
         raise ValueError("missing required parameter: bundle or matrix")
     _require(resolved, "k")
-    workers = int(resolved["workers"]) if resolved["workers"] is not None else args.threads
-    resolved["workers"] = workers
     rng = RngSpec(int(resolved["seed"]), int(resolved["stream"]))
-    estimate = estimate_conditions(phi, int(resolved["k"]), _budget(resolved), rng,
-                                   workers=workers)
+    estimate = estimate_conditions(phi, int(resolved["k"]), _budget(resolved), rng)
     doc = {"config": resolved, "verdict": condition_verdict(estimate),
            "estimate": estimate.as_dict()}
     matio.write_json(resolved["out"], doc)
@@ -209,8 +199,7 @@ def cmd_trace(args) -> int:
               file=sys.stderr)
         return EXIT_SOLVER
     rng = RngSpec(int(resolved["seed"]), int(resolved["stream"]))
-    estimate = estimate_conditions(instance.phi, instance.k, _budget(resolved), rng,
-                                   workers=args.threads)
+    estimate = estimate_conditions(instance.phi, instance.k, _budget(resolved), rng)
     trace = trace_recovery(instance, result, estimate,
                            feasibility_tol=float(resolved["feasibility_tol"]))
     doc = {"config": resolved,
@@ -238,7 +227,7 @@ def cmd_grid(args) -> int:
     for key in ("m_values", "k_values", "s_values"):
         resolved[key] = list(_parse_int_list(resolved[key]))
     spec = GridSpec.from_dict(resolved)
-    result = run_grid(spec, threads=args.threads)
+    result = run_grid(spec)
     os.makedirs(resolved["out"], exist_ok=True)
     matio.atomic_write_text(os.path.join(resolved["out"], "trials.csv"), result.trials_csv())
     summary = result.summary_dict()
@@ -255,8 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sparse recovery with an l1 residual constraint: generate "
                     "instances, solve them, estimate deviation constants, trace "
                     "the error-bound inequalities and run trial grids.")
-    parser.add_argument("--threads", type=int, default=_default_threads(),
-                        help="worker threads for grids/estimation (env SL1_THREADS)")
+    parser.add_argument("--threads", type=int,
+                        help="accepted for compatibility; has no effect (every run "
+                             "is sequential and its output does not depend on it)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate an instance bundle")
@@ -289,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     cond.add_argument("--matrix")
     cond.add_argument("--out")
     for flag in ("k", "seed", "stream", "supports", "pairs", "starts", "steps",
-                 "exhaustive-cap", "workers"):
+                 "exhaustive-cap"):
         cond.add_argument(f"--{flag}", dest=flag.replace("-", "_"), type=int)
     cond.add_argument("--overlap-share", dest="overlap_share", type=float)
     cond.set_defaults(func=cmd_conditions)

@@ -24,7 +24,6 @@ enumeration, with that caveat.
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,37 +158,34 @@ def _ascend_sphere(bsub, nu, z0, direction, steps):
     return z, abs(val), evals
 
 
-def _norm_search_chunk(phi, supports, starts, steps, nu, stream):
-    """supports: iterable of index arrays; sampled-mode callers pass a
-    lazy generator over the same stream, so support draws interleave
-    with the ascent starts and a larger budget extends a smaller one's
-    sample sequence."""
-    best_val = -1.0
-    best = None
-    evals = 0
-    visited = 0
-    for support in supports:
-        sup = np.asarray(support, dtype=np.int64)
-        bsub = phi[:, sup]
+def _search(items, starts, climb):
+    """Run `starts` climbs from every item in order and keep the best.
+
+    climb(item) draws its start from the search stream and yields
+    (value, candidate, evals) per ascent.  Candidates of None never win,
+    and an equal later value does not replace an earlier one, so the
+    first maximum wins.  Sampled-mode callers pass a lazy generator over
+    the same stream, so item draws interleave with the ascent starts and
+    a larger budget extends a smaller one's sample sequence.
+    Returns (best candidate or None, evals, items visited).
+    """
+    best_val, best, evals, visited = -1.0, None, 0, 0
+    for item in items:
         visited += 1
         for _ in range(starts):
-            z0 = stream.normal(sup.size)
-            if float(z0 @ z0) < 1e-24:
-                z0 = np.ones(sup.size)
-            for direction in (1.0, -1.0):
-                z, val, used = _ascend_sphere(bsub, nu, z0, direction, steps)
+            for val, cand, used in climb(item):
                 evals += used
-                if val > best_val:
-                    best_val = val
-                    best = (sup.copy(), z.copy())
-    return best_val, best, evals, visited
+                if cand is not None and val > best_val:
+                    best_val, best = val, cand
+    return best, evals, visited
 
 
-def estimate_norm_deviation(phi, k: int, budget: SearchBudget, rng: RngSpec,
-                            workers: int = 1) -> SearchPart:
+def estimate_norm_deviation(phi, k: int, budget: SearchBudget, rng: RngSpec) -> SearchPart:
     """Lower bound on the worst norm deviation over vectors with at
     most 2k nonzeros, by support enumeration (when the count fits the
-    budget cap) or sampled supports, with multi-start sphere ascent."""
+    budget cap) or sampled supports, with multi-start sphere ascent in
+    both directions.  Supports, starts and ascents all run in order on
+    one stream, rng.child(0)."""
     phi = core.as_matrix(phi, "phi")
     m, n = phi.shape
     k = int(k)
@@ -204,45 +200,23 @@ def estimate_norm_deviation(phi, k: int, budget: SearchBudget, rng: RngSpec,
     if not engaged:
         return SearchPart(0.0, None, 0, 0, total, False)
 
-    chunks = []
-    workers = max(1, int(workers))
+    stream = Stream(rng.child(0))
     if exhaustive:
-        all_supports = list(itertools.combinations(range(n), width))
-        size = (len(all_supports) + workers - 1) // workers
-        for w in range(workers):
-            chunk = all_supports[w * size:(w + 1) * size]
-            if chunk:
-                chunks.append((chunk, Stream(rng.child(w))))
+        supports = (np.asarray(sup, dtype=np.int64)
+                    for sup in itertools.combinations(range(n), width))
     else:
-        per = [budget.num_supports // workers] * workers
-        for i in range(budget.num_supports % workers):
-            per[i] += 1
+        supports = (stream.subset(n, width) for _ in range(budget.num_supports))
 
-        def sampled(stream, count):
-            for _ in range(count):
-                yield stream.subset(n, width)
+    def climb(sup):
+        bsub = phi[:, sup]
+        z0 = stream.normal(sup.size)
+        if float(z0 @ z0) < 1e-24:
+            z0 = np.ones(sup.size)
+        for direction in (1.0, -1.0):
+            z, val, used = _ascend_sphere(bsub, nu, z0, direction, budget.steps)
+            yield val, (sup, z), used
 
-        for w, count in enumerate(per):
-            if count:
-                stream = Stream(rng.child(w))
-                chunks.append((sampled(stream, count), stream))
-
-    def run(args):
-        chunk, stream = args
-        return _norm_search_chunk(phi, chunk, budget.starts, budget.steps, nu, stream)
-
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, chunks))
-    else:
-        outcomes = [run(c) for c in chunks]
-
-    best_val, best, evals, visited = -1.0, None, 0, 0
-    for val, cand, used, seen in outcomes:
-        evals += used
-        visited += seen
-        if val > best_val:
-            best_val, best = val, cand
+    best, evals, visited = _search(supports, budget.starts, climb)
     witness = None
     value = 0.0
     if best is not None:
@@ -252,8 +226,7 @@ def estimate_norm_deviation(phi, k: int, budget: SearchBudget, rng: RngSpec,
         witness = DeviationWitness(value=value,
                                    u_indices=[int(i) for i in sup],
                                    u_coeffs=[float(c) for c in z])
-    return SearchPart(value, witness, evals, visited, total,
-                      exhaustive and visited == total)
+    return SearchPart(value, witness, evals, visited, total, exhaustive)
 
 
 def _best_cross_for_u(phi, su, zu, sv, u_embedded):
@@ -273,56 +246,14 @@ def _best_cross_for_u(phi, su, zu, sv, u_embedded):
     return c_norm / m, c / c_norm
 
 
-def _cross_search_chunk(phi, pairs, starts, steps, stream):
-    """pairs: iterable of (S_u, S_v, family) triples; sampled-mode
-    callers pass a lazy generator over the same stream (see
-    _norm_search_chunk for why)."""
-    n = phi.shape[1]
-    best_val = -1.0
-    best = None
-    evals = 0
-    visited = 0
-    families = {"disjoint": 0, "overlap": 0}
-    for su, sv, family in pairs:
-        su = np.asarray(su, dtype=np.int64)
-        sv = np.asarray(sv, dtype=np.int64)
-        visited += 1
-        families[family] += 1
-        for _ in range(starts):
-            zu = stream.normal(su.size)
-            zn = math.sqrt(float(zu @ zu))
-            zu = zu / zn if zn > 1e-12 else np.ones(su.size) / math.sqrt(su.size)
-            u_emb = core.embed(zu, su, n)
-            val, zv = _best_cross_for_u(phi, su, zu, sv, u_emb)
-            evals += 1
-            eta = 0.5
-            for _ in range(steps):
-                cand = zu + eta * stream.normal(su.size)
-                cand /= math.sqrt(float(cand @ cand))
-                cand_emb = core.embed(cand, su, n)
-                cval, czv = _best_cross_for_u(phi, su, cand, sv, cand_emb)
-                evals += 1
-                if cval > val:
-                    zu, val, zv, u_emb = cand, cval, czv, cand_emb
-                    eta = min(eta * 1.3, 1.0)
-                else:
-                    eta *= 0.5
-                    if eta < 1e-9:
-                        break
-            if zv is not None and val > best_val:
-                best_val = val
-                best = (su.copy(), zu.copy(), sv.copy(), zv.copy())
-    return best_val, best, evals, visited, families
-
-
 def _sample_pair(stream, n, k, overlap_share, disjoint_ok):
-    """Draw one (S_u, S_v) support pair; returns (pair, family)."""
+    """Draw one (S_u, S_v) support pair; returns (S_u, S_v, family)."""
     use_overlap = not disjoint_ok or float(stream.uniform(1)[0]) < overlap_share
     su = stream.subset(n, 2 * k)
     if not use_overlap:
         comp = core.complement_support(su, n)
         sv = comp[stream.subset(n - 2 * k, k)]
-        return (su, sv), "disjoint"
+        return su, sv, "disjoint"
     o = 1 + stream.integer_below(k)
     inside = su[stream.subset(2 * k, o)]
     if k - o > 0:
@@ -331,18 +262,19 @@ def _sample_pair(stream, n, k, overlap_share, disjoint_ok):
         sv = core.support_union(inside, outside)
     else:
         sv = inside
-    return (su, sv), "overlap"
+    return su, sv, "overlap"
 
 
-def estimate_cross_deviation(phi, k: int, budget: SearchBudget, rng: RngSpec,
-                             workers: int = 1) -> SearchPart:
+def estimate_cross_deviation(phi, k: int, budget: SearchBudget, rng: RngSpec) -> SearchPart:
     """Lower bound on the worst sign-correlation deviation over
     orthogonal pairs (u with <= 2k nonzeros, v with <= k nonzeros).
 
     Pairs come from two families: disjoint supports (orthogonal by
     construction; enumerated exactly in exhaustive mode) and overlapping
     supports with v projected onto the orthogonal complement of u inside
-    its own support.  The family mix is recorded in the result.
+    its own support.  The family mix is recorded in the result.  Pairs,
+    starts and the random-direction ascent on u all run in order on one
+    stream, rng.child(0).
     """
     phi = core.as_matrix(phi, "phi")
     m, n = phi.shape
@@ -358,59 +290,51 @@ def estimate_cross_deviation(phi, k: int, budget: SearchBudget, rng: RngSpec,
     engaged = budget.starts >= 1 and budget.num_pairs >= 1
     exhaustive = (engaged and disjoint_ok and total is not None
                   and total <= budget.exhaustive_cap)
+    families = {"disjoint": 0, "overlap": 0}
 
     if not engaged:
-        return SearchPart(0.0, None, 0, 0, total, False,
-                          {"disjoint": 0, "overlap": 0})
+        return SearchPart(0.0, None, 0, 0, total, False, families)
 
-    workers = max(1, int(workers))
-    chunks = []
-    if exhaustive:
-        pairs = []
-        for su in itertools.combinations(range(n), 2 * k):
-            su_arr = np.asarray(su, dtype=np.int64)
-            comp = core.complement_support(su_arr, n)
-            for sv in itertools.combinations(comp.tolist(), k):
-                pairs.append((su_arr, np.asarray(sv, dtype=np.int64), "disjoint"))
-        size = (len(pairs) + workers - 1) // workers
-        for w in range(workers):
-            chunk = pairs[w * size:(w + 1) * size]
-            if chunk:
-                chunks.append((chunk, Stream(rng.child(w))))
-    else:
-        per = [budget.num_pairs // workers] * workers
-        for i in range(budget.num_pairs % workers):
-            per[i] += 1
+    stream = Stream(rng.child(0))
 
-        def sampled(stream, count):
-            for _ in range(count):
-                pair, family = _sample_pair(stream, n, k, budget.overlap_share, disjoint_ok)
-                yield pair[0], pair[1], family
+    def pairs():
+        if exhaustive:
+            for su in itertools.combinations(range(n), 2 * k):
+                su = np.asarray(su, dtype=np.int64)
+                comp = core.complement_support(su, n)
+                for sv in itertools.combinations(comp.tolist(), k):
+                    families["disjoint"] += 1
+                    yield su, np.asarray(sv, dtype=np.int64)
+        else:
+            for _ in range(budget.num_pairs):
+                su, sv, family = _sample_pair(stream, n, k, budget.overlap_share,
+                                              disjoint_ok)
+                families[family] += 1
+                yield su, sv
 
-        for w, count in enumerate(per):
-            if count:
-                stream = Stream(rng.child(w))
-                chunks.append((sampled(stream, count), stream))
+    def climb(pair):
+        su, sv = pair
+        zu = stream.normal(su.size)
+        zn = math.sqrt(float(zu @ zu))
+        zu = zu / zn if zn > 1e-12 else np.ones(su.size) / math.sqrt(su.size)
+        val, zv = _best_cross_for_u(phi, su, zu, sv, core.embed(zu, su, n))
+        evals = 1
+        eta = 0.5
+        for _ in range(budget.steps):
+            cand = zu + eta * stream.normal(su.size)
+            cand /= math.sqrt(float(cand @ cand))
+            cval, czv = _best_cross_for_u(phi, su, cand, sv, core.embed(cand, su, n))
+            evals += 1
+            if cval > val:
+                zu, val, zv = cand, cval, czv
+                eta = min(eta * 1.3, 1.0)
+            else:
+                eta *= 0.5
+                if eta < 1e-9:
+                    break
+        yield val, None if zv is None else (su, zu, sv, zv), evals
 
-    def run(args):
-        chunk, stream = args
-        return _cross_search_chunk(phi, chunk, budget.starts, budget.steps, stream)
-
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, chunks))
-    else:
-        outcomes = [run(c) for c in chunks]
-
-    best_val, best, evals, visited = -1.0, None, 0, 0
-    families = {"disjoint": 0, "overlap": 0}
-    for val, cand, used, seen, fams in outcomes:
-        evals += used
-        visited += seen
-        for key, count in fams.items():
-            families[key] += count
-        if val > best_val:
-            best_val, best = val, cand
+    best, evals, visited = _search(pairs(), budget.starts, climb)
     witness = None
     value = 0.0
     if best is not None:
@@ -423,9 +347,7 @@ def estimate_cross_deviation(phi, k: int, budget: SearchBudget, rng: RngSpec,
                                    u_coeffs=[float(c) for c in zu],
                                    v_indices=[int(i) for i in sv],
                                    v_coeffs=[float(c) for c in zv])
-    return SearchPart(value, witness, evals, visited, total,
-                      exhaustive and (total is not None and visited == total),
-                      families)
+    return SearchPart(value, witness, evals, visited, total, exhaustive, families)
 
 
 @dataclass
@@ -481,11 +403,10 @@ class ConditionEstimate:
         }
 
 
-def estimate_conditions(phi, k: int, budget: SearchBudget, rng: RngSpec,
-                        workers: int = 1) -> ConditionEstimate:
+def estimate_conditions(phi, k: int, budget: SearchBudget, rng: RngSpec) -> ConditionEstimate:
     """Run both deviation searches and assemble a ConditionEstimate."""
-    norm_part = estimate_norm_deviation(phi, k, budget, rng.child(1), workers)
-    cross_part = estimate_cross_deviation(phi, k, budget, rng.child(2), workers)
+    norm_part = estimate_norm_deviation(phi, k, budget, rng.child(1))
+    cross_part = estimate_cross_deviation(phi, k, budget, rng.child(2))
     refinement = "local-ascent" if budget.engaged() and budget.steps > 0 else "none"
     return ConditionEstimate(
         calibration=half_normal_mean(),

@@ -196,12 +196,3 @@ def mat_vec(a, v) -> np.ndarray:
         out += a[:, j] * v[j]
     return out
 
-
-def mat_transpose_vec(a, w) -> np.ndarray:
-    """Transposed product a.T @ w with the same fixed accumulation order."""
-    a = as_matrix(a)
-    w = as_vector(w, "w")
-    if w.size != a.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: matrix is {a.shape[0]}x{a.shape[1]}, vector has length {w.size}")
-    return mat_vec(a.T, w)

@@ -23,7 +23,6 @@ METHOD_LP = "lp-exact"
 METHOD_FIRST_ORDER = "first-order"
 
 STATUS_OPTIMAL = "optimal"
-STATUS_FEASIBLE = "feasible-suboptimal"
 STATUS_INFEASIBLE = "infeasible-detected"
 STATUS_ITER_LIMIT = "iteration-limit"
 
@@ -59,7 +58,7 @@ class SolverResult:
     certificate: dict | None = None
 
     def is_usable(self) -> bool:
-        return self.status in (STATUS_OPTIMAL, STATUS_FEASIBLE)
+        return self.status == STATUS_OPTIMAL
 
     def to_json_dict(self) -> dict:
         out = {
@@ -213,7 +212,7 @@ def solve_lp_exact(lp: LpProblem, config: SolverConfig = None) -> SolverResult:
             "dual_objective": dual_obj,
             "strong_duality_gap": float(res.objective - dual_obj),
         }
-    status = STATUS_OPTIMAL if res.status == simplex.OPTIMAL else STATUS_FEASIBLE
+    status = STATUS_OPTIMAL if res.status == simplex.OPTIMAL else STATUS_ITER_LIMIT
     return SolverResult(
         u_star=u,
         objective=core.norm_lp(u, 1),

@@ -186,15 +186,6 @@ class TestTrials:
         assert all(r.status == "iteration-limit" for r in result.records)
         assert len(result.records) == 2
 
-    def test_threaded_grid_matches_serial_order(self):
-        spec = analysis.GridSpec(n=8, m_values=(10,), k_values=(1, 2), s_values=(1,),
-                                 trials=2, seed=13)
-        serial = analysis.run_grid(spec, threads=1)
-        threaded = analysis.run_grid(spec, threads=3)
-        for a, b in zip(serial.records, threaded.records):
-            assert a.seed == b.seed and a.status == b.status
-            assert a.err_l2 == pytest.approx(b.err_l2, rel=1e-9, abs=1e-12)
-
     def test_summary_marks_observational(self):
         spec = analysis.GridSpec(n=8, m_values=(10,), k_values=(1,), s_values=(1,),
                                  trials=1, seed=15)

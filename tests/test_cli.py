@@ -146,6 +146,28 @@ class TestConditions:
                      "--pairs", "4"]) == 0
         assert matio.read_json(out)["estimate"]["k"] == 1
 
+    def test_output_independent_of_threads_flag(self, bundle, tmp_path):
+        out = tmp_path / "cond.json"
+        args = ["conditions", "--bundle", str(bundle), "--out", str(out),
+                "--supports", "8", "--pairs", "8", "--seed", "2",
+                "--exhaustive-cap", "0"]
+        assert main(["--threads", "1", *args]) == 0
+        first = out.read_bytes()
+        assert main(["--threads", "2", *args]) == 0
+        assert out.read_bytes() == first
+
+    def test_replays_config_with_retired_workers_key(self, bundle, tmp_path):
+        out = tmp_path / "cond.json"
+        assert main(["conditions", "--bundle", str(bundle), "--out", str(out),
+                     "--supports", "4", "--pairs", "4", "--exhaustive-cap", "0"]) == 0
+        first = out.read_bytes()
+        doc = json.loads(first)
+        doc["config"]["workers"] = 2
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(doc))
+        assert main(["conditions", "--config", str(old)]) == 0
+        assert out.read_bytes() == first
+
 
 class TestTrace:
     def test_noiseless_bundle_all_rows_hold(self, tmp_path):
@@ -168,16 +190,6 @@ class TestTrace:
         doc = matio.read_json(out)
         assert doc["config"]["bundle"] == str(bundle)
         assert doc["solver"]["status"] == "optimal"
-
-
-def test_threads_default_from_environment(monkeypatch):
-    from sl1.cli import build_parser
-    monkeypatch.setenv("SL1_THREADS", "7")
-    args = build_parser().parse_args(["gen"])
-    assert args.threads == 7
-    monkeypatch.setenv("SL1_THREADS", "junk")
-    args = build_parser().parse_args(["gen"])
-    assert args.threads == 1
 
 
 class TestGrid:
@@ -207,6 +219,21 @@ class TestGrid:
 
         assert strip_runtime(first_csv) == strip_runtime(second_csv)
         assert (out / "summary.json").read_bytes() == first_summary
+
+    def test_output_independent_of_threads_flag(self, tmp_path):
+        out = tmp_path / "grid"
+        args = ["grid", "--out", str(out), "--n", "8", "--m-values", "10",
+                "--k-values", "1,2", "--s-values", "1", "--trials", "2", "--seed", "13"]
+
+        def outputs():
+            lines = (out / "trials.csv").read_text().splitlines()
+            return ([line.rsplit(",", 1)[0] for line in lines],
+                    (out / "summary.json").read_bytes())
+
+        assert main(["--threads", "1", *args]) == 0
+        first = outputs()
+        assert main(["--threads", "2", *args]) == 0
+        assert outputs() == first
 
     def test_bad_values_exit_2(self, tmp_path, capsys):
         assert main(["grid", "--out", str(tmp_path / "g"), "--n", "6",

@@ -197,11 +197,6 @@ class TestMatVec:
     def test_small_product(self):
         assert np.array_equal(core.mat_vec([[1, 2], [3, 4]], [1, 1]), [3, 7])
 
-    def test_transpose_product(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        w = np.array([1.0, 0.0, -1.0])
-        assert np.array_equal(core.mat_transpose_vec(a, w), [-4.0, -4.0])
-
     def test_matches_blas_closely(self):
         stream = Stream(RngSpec(9))
         a = stream.normal(60).reshape(10, 6)
@@ -211,5 +206,3 @@ class TestMatVec:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             core.mat_vec(np.eye(2), [1.0, 2.0, 3.0])
-        with pytest.raises(ValueError):
-            core.mat_transpose_vec(np.eye(2), [1.0, 2.0, 3.0])

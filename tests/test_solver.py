@@ -197,11 +197,23 @@ class TestLpStatusMapping:
         assert full.iters > 10  # the tiny budget below cannot finish
         res = solver.solve_lp_exact(lp, solver.SolverConfig(
             method="lp-exact", max_iters=1))
-        if res.status == "feasible-suboptimal":
-            assert res.residual_l1 <= inst.epsilon + 1e-8
-            assert res.objective >= full.objective - 1e-9
-        else:  # ran out inside phase 1
-            assert res.status == "iteration-limit"
+        # a capped basis is not certified, wherever the cap struck
+        assert res.status == "iteration-limit"
+        assert not res.is_usable()
+
+    def test_capped_solve_with_infeasible_iterate_is_not_usable(self):
+        # Trial 4 of the 128x64, k=4, s=4 grid at seed 14142 stalls at the
+        # 20,000-pivot cap on an iterate whose residual exceeds epsilon and
+        # whose objective is far above the optimum (about 2).
+        inst = make_instance(128, 64, 4, {"kind": "sparse", "s": 4, "scale": 1.0},
+                             {"kind": "sparse", "amplitude": "gaussian"},
+                             RngSpec(14142).child(0).child(4))
+        res = solver.solve(inst.phi, inst.y, inst.epsilon,
+                           solver.SolverConfig(method="lp-exact", max_iters=2000))
+        assert res.iters == 20_000
+        assert res.residual_l1 > inst.epsilon
+        assert res.status == "iteration-limit"
+        assert not res.is_usable()
 
     def test_unbounded_reduction_rejected(self):
         lp = solver.lp_formulate(np.eye(2), [1.0, 1.0], 0.5)
