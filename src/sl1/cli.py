@@ -8,6 +8,7 @@ arguments, 3 I/O or format errors, 4 solver non-convergence.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -17,7 +18,7 @@ from .conditions import SearchBudget, condition_verdict, estimate_conditions
 from .generators import load_bundle, make_instance, save_bundle
 from .matio import FormatError
 from .rng import RngSpec
-from .solver import SolverConfig, solve
+from .solver import METHOD_FIRST_ORDER, METHOD_LP, SolverConfig, solve
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -90,6 +91,14 @@ def _budget(resolved: dict) -> SearchBudget:
     )
 
 
+# Settings shared by several commands, each declared once.
+_SOLVER_KEYS = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
+_SEARCH_KEYS = {
+    "seed": 0, "stream": 0,
+    "supports": 64, "pairs": 128, "starts": 6, "steps": 40,
+    "exhaustive_cap": 10_000, "overlap_share": 0.5,
+}
+
 _GEN_KEYS = {
     "out": None, "n": None, "m": None, "k": None,
     "seed": 0, "stream": 0,
@@ -130,11 +139,7 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-_SOLVE_KEYS = {
-    "bundle": None, "out": None,
-    "method": "first-order", "feasibility_tol": 1e-8,
-    "objective_tol": 1e-7, "max_iters": 50_000,
-}
+_SOLVE_KEYS = {"bundle": None, "out": None, **_SOLVER_KEYS}
 
 
 def cmd_solve(args) -> int:
@@ -150,12 +155,7 @@ def cmd_solve(args) -> int:
     return EXIT_OK if result.is_usable() else EXIT_SOLVER
 
 
-_CONDITIONS_KEYS = {
-    "bundle": None, "matrix": None, "out": None, "k": None,
-    "seed": 0, "stream": 0,
-    "supports": 64, "pairs": 128, "starts": 6, "steps": 40,
-    "exhaustive_cap": 10_000, "overlap_share": 0.5,
-}
+_CONDITIONS_KEYS = {"bundle": None, "matrix": None, "out": None, "k": None, **_SEARCH_KEYS}
 
 
 def cmd_conditions(args) -> int:
@@ -181,12 +181,7 @@ def cmd_conditions(args) -> int:
     return EXIT_OK
 
 
-_TRACE_KEYS = dict(_SOLVE_KEYS)
-_TRACE_KEYS.update({
-    "seed": 0, "stream": 0,
-    "supports": 64, "pairs": 128, "starts": 6, "steps": 40,
-    "exhaustive_cap": 10_000, "overlap_share": 0.5,
-})
+_TRACE_KEYS = {**_SOLVE_KEYS, **_SEARCH_KEYS}
 
 
 def cmd_trace(args) -> int:
@@ -216,8 +211,7 @@ def cmd_trace(args) -> int:
 _GRID_KEYS = {
     "out": None, "n": None, "m_values": None, "k_values": None, "s_values": None,
     "trials": 10, "seed": 0, "stream": 0, "amplitude": "gaussian", "spike_scale": 1.0,
-    "method": "first-order", "feasibility_tol": 1e-8, "objective_tol": 1e-7,
-    "max_iters": 50_000,
+    **_SOLVER_KEYS,
 }
 
 
@@ -236,6 +230,18 @@ def cmd_grid(args) -> int:
     print(f"ran {len(result.records)} trials over {len(spec.cells())} cells "
           f"-> {resolved['out']}")
     return EXIT_OK
+
+
+def _add_solver_flags(cmd):
+    cmd.add_argument("--method", choices=(METHOD_LP, METHOD_FIRST_ORDER))
+    cmd.add_argument("--feasibility-tol", dest="feasibility_tol", type=float)
+    cmd.add_argument("--objective-tol", dest="objective_tol", type=float)
+    cmd.add_argument("--max-iters", dest="max_iters", type=int)
+
+
+def _add_search_flags(cmd):
+    for key, default in _SEARCH_KEYS.items():
+        cmd.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,10 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--config")
     slv.add_argument("--bundle")
     slv.add_argument("--out")
-    slv.add_argument("--method", choices=("lp-exact", "first-order"))
-    slv.add_argument("--feasibility-tol", dest="feasibility_tol", type=float)
-    slv.add_argument("--objective-tol", dest="objective_tol", type=float)
-    slv.add_argument("--max-iters", dest="max_iters", type=int)
+    _add_solver_flags(slv)
     slv.set_defaults(func=cmd_solve)
 
     cond = sub.add_parser("conditions", help="estimate deviation constants")
@@ -278,24 +281,16 @@ def build_parser() -> argparse.ArgumentParser:
     cond.add_argument("--bundle")
     cond.add_argument("--matrix")
     cond.add_argument("--out")
-    for flag in ("k", "seed", "stream", "supports", "pairs", "starts", "steps",
-                 "exhaustive-cap"):
-        cond.add_argument(f"--{flag}", dest=flag.replace("-", "_"), type=int)
-    cond.add_argument("--overlap-share", dest="overlap_share", type=float)
+    cond.add_argument("--k", type=int)
+    _add_search_flags(cond)
     cond.set_defaults(func=cmd_conditions)
 
     trc = sub.add_parser("trace", help="solve a bundle and trace the bound inequalities")
     trc.add_argument("--config")
     trc.add_argument("--bundle")
     trc.add_argument("--out")
-    trc.add_argument("--method", choices=("lp-exact", "first-order"))
-    trc.add_argument("--feasibility-tol", dest="feasibility_tol", type=float)
-    trc.add_argument("--objective-tol", dest="objective_tol", type=float)
-    trc.add_argument("--max-iters", dest="max_iters", type=int)
-    for flag in ("seed", "stream", "supports", "pairs", "starts", "steps",
-                 "exhaustive-cap"):
-        trc.add_argument(f"--{flag}", dest=flag.replace("-", "_"), type=int)
-    trc.add_argument("--overlap-share", dest="overlap_share", type=float)
+    _add_solver_flags(trc)
+    _add_search_flags(trc)
     trc.set_defaults(func=cmd_trace)
 
     grd = sub.add_parser("grid", help="run a trial grid")
@@ -310,10 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     grd.add_argument("--stream", type=int)
     grd.add_argument("--amplitude")
     grd.add_argument("--spike-scale", dest="spike_scale", type=float)
-    grd.add_argument("--method", choices=("lp-exact", "first-order"))
-    grd.add_argument("--feasibility-tol", dest="feasibility_tol", type=float)
-    grd.add_argument("--objective-tol", dest="objective_tol", type=float)
-    grd.add_argument("--max-iters", dest="max_iters", type=int)
+    _add_solver_flags(grd)
     grd.set_defaults(func=cmd_grid)
 
     return parser

@@ -163,6 +163,7 @@ class TestTrials:
         for cell in result.cell_summaries():
             assert cell["exact_rate"] == 1.0
             assert cell["solved_rate"] == 1.0
+            assert cell["bound_rate"] == 1.0
 
     def test_grid_csv_layout_and_determinism(self):
         spec = analysis.GridSpec(n=8, m_values=(10, 12), k_values=(1,), s_values=(0, 1),
