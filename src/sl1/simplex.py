@@ -2,10 +2,13 @@
 
     minimize c @ x   subject to   a @ x <= b,  x >= 0.
 
-Bland's smallest-index rule picks both the entering column and, among
-minimum-ratio ties, the leaving row, so the method terminates under
-degeneracy.  Intended for small/medium dense problems where an exact
-optimum is wanted as a reference.
+Dantzig pricing picks the entering column (most negative reduced
+cost); the ratio test picks the leaving row, breaking minimum-ratio ties
+toward the largest pivot element for stability.  There is no
+anti-cycling rule: the pivot cap is the only bound on the loop, so a
+solve that would cycle ends with ``pivot-limit``.  Intended for
+small/medium dense problems where an exact optimum is wanted as a
+reference.
 """
 
 from dataclasses import dataclass
@@ -16,6 +19,8 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 PIVOT_LIMIT = "pivot-limit"
+
+TOL = 1e-9
 
 
 @dataclass
@@ -40,52 +45,29 @@ def _pivot(tableau, cost, basis, row, col):
     basis[row] = col
 
 
-def _iterate(tableau, cost, basis, allowed, tol, max_pivots, pivots):
-    """Pivot until optimal/unbounded/limit.
-
-    Dantzig pricing with a stability-biased ratio test runs by default;
-    after a stretch of degenerate pivots the loop switches to Bland's
-    smallest-index rule, whose termination guarantee breaks any cycle.
-    """
-    bland = False
-    stalled = 0
-    objective = -cost[-1]
+def _iterate(tableau, cost, basis, allowed, max_pivots, pivots):
+    """Pivot until optimal/unbounded/limit."""
     while True:
-        negative = np.nonzero(cost[:allowed] < -tol)[0]
+        negative = np.nonzero(cost[:allowed] < -TOL)[0]
         if negative.size == 0:
             return OPTIMAL, pivots
         if pivots >= max_pivots:
             return PIVOT_LIMIT, pivots
-        if bland:
-            enter = int(negative[0])
-        else:
-            enter = int(negative[np.argmin(cost[negative])])
+        enter = int(negative[np.argmin(cost[negative])])
         col = tableau[:, enter]
-        positive = col > tol
+        positive = col > TOL
         if not positive.any():
             return UNBOUNDED, pivots
         ratios = np.full(tableau.shape[0], np.inf)
         ratios[positive] = tableau[positive, -1] / col[positive]
         best = ratios.min()
         ties = np.nonzero(ratios <= best + 1e-9 * (1.0 + abs(best)))[0]
-        if bland:
-            leave = int(ties[np.argmin(basis[ties])])
-        else:
-            leave = int(ties[np.argmax(col[ties])])
+        leave = int(ties[np.argmax(col[ties])])
         _pivot(tableau, cost, basis, leave, enter)
         pivots += 1
-        new_objective = -cost[-1]
-        if not bland:
-            if abs(new_objective - objective) <= 1e-12 * (1.0 + abs(objective)):
-                stalled += 1
-                if stalled > 64:
-                    bland = True
-            else:
-                stalled = 0
-        objective = new_objective
 
 
-def solve_canonical(c, a, b, tol: float = 1e-9, max_pivots: int = 100_000) -> SimplexResult:
+def solve_canonical(c, a, b, max_pivots: int = 100_000) -> SimplexResult:
     c = np.asarray(c, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -121,20 +103,19 @@ def solve_canonical(c, a, b, tol: float = 1e-9, max_pivots: int = 100_000) -> Si
         cost1[n_slack:n_slack + n_art] = 1.0
         for i in negative_rows:
             cost1 -= tableau[i]
-        status, pivots = _iterate(tableau, cost1, basis,
-                                  n_slack + n_art, tol, max_pivots, pivots)
+        status, pivots = _iterate(tableau, cost1, basis, n_slack + n_art, max_pivots, pivots)
         if status == PIVOT_LIMIT:
             return SimplexResult(PIVOT_LIMIT, None, None, pivots, None)
         artificial = basis >= n_slack
         phase1_obj = float(tableau[artificial, -1].sum()) if artificial.any() else 0.0
-        if phase1_obj > tol * (1.0 + float(np.abs(b).max(initial=0.0))):
+        if phase1_obj > TOL * (1.0 + float(np.abs(b).max(initial=0.0))):
             return SimplexResult(INFEASIBLE, None, None, pivots, None)
         # Drive leftover (zero-valued) artificials out of the basis;
         # a row with no usable pivot is redundant and gets dropped.
         drop = []
         for i in np.nonzero(basis >= n_slack)[0]:
             row = tableau[i, :n_slack]
-            candidates = np.nonzero(np.abs(row) > tol)[0]
+            candidates = np.nonzero(np.abs(row) > TOL)[0]
             if candidates.size:
                 _pivot(tableau, cost1, basis, int(i), int(candidates[0]))
                 pivots += 1
@@ -152,7 +133,7 @@ def solve_canonical(c, a, b, tol: float = 1e-9, max_pivots: int = 100_000) -> Si
     for i in range(basis.size):
         if cost2[basis[i]] != 0.0:
             cost2 -= cost2[basis[i]] * tableau[i]
-    status, pivots = _iterate(tableau, cost2, basis, n_slack, tol, max_pivots, pivots)
+    status, pivots = _iterate(tableau, cost2, basis, n_slack, max_pivots, pivots)
 
     if status == UNBOUNDED:
         return SimplexResult(UNBOUNDED, None, None, pivots, None)

@@ -211,14 +211,12 @@ def solve_lp_exact(lp: LpProblem, config: SolverConfig = None) -> SolverResult:
             u_star=np.zeros(lp.phi.shape[1]), objective=math.inf, residual_l1=math.inf,
             status=STATUS_ITER_LIMIT, iters=res.pivots, certificate=None)
     u = lp.signal_from(res.x)
-    certificate = None
-    if res.duals is not None:
-        dual_obj = float(lp.b_ub @ res.duals)
-        certificate = {
-            "duals": [float(v) for v in res.duals],
-            "dual_objective": dual_obj,
-            "strong_duality_gap": float(res.objective - dual_obj),
-        }
+    dual_obj = float(lp.b_ub @ res.duals)
+    certificate = {
+        "duals": [float(v) for v in res.duals],
+        "dual_objective": dual_obj,
+        "strong_duality_gap": float(res.objective - dual_obj),
+    }
     status = STATUS_OPTIMAL if res.status == simplex.OPTIMAL else STATUS_ITER_LIMIT
     return SolverResult(
         u_star=u,

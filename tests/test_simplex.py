@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,21 @@ def test_degenerate_problem_terminates():
     res = simplex.solve_canonical(c, a, b)
     assert res.status == simplex.OPTIMAL
     assert res.objective == pytest.approx(-2.0, abs=1e-12)
+
+
+def test_beale_cycling_example_solves_under_every_column_order():
+    # Beale (1955): textbook Dantzig pricing with smallest-index ties
+    # cycles on this LP; the optimum is -1/20 at x = (1/25, 0, 1, 0).
+    c = np.array([-0.75, 150.0, -0.02, 6.0])
+    a = np.array([[0.25, -60.0, -0.04, 9.0],
+                  [0.5, -90.0, -0.02, 3.0],
+                  [0.0, 0.0, 1.0, 0.0]])
+    b = np.array([0.0, 0.0, 1.0])
+    for perm in itertools.permutations(range(4)):
+        perm = list(perm)
+        res = simplex.solve_canonical(c[perm], a[:, perm], b)
+        assert res.status == simplex.OPTIMAL
+        assert res.objective == pytest.approx(-0.05, abs=1e-12)
 
 
 def test_strong_duality_on_random_problems():

@@ -21,6 +21,13 @@ def _random_instance(seed, n_max=12, m_max=12):
                          RngSpec(7000 + seed))
 
 
+def _exact_grid_instance(trial):
+    """Trial `trial` of the 128x64, k=4, s=4 grid at seed 14142."""
+    return make_instance(128, 64, 4, {"kind": "sparse", "s": 4, "scale": 1.0},
+                         {"kind": "sparse", "amplitude": "gaussian"},
+                         RngSpec(14142).child(0).child(trial))
+
+
 class TestProx:
     def test_soft_threshold_examples(self):
         assert np.array_equal(solver.soft_threshold([3, -1], 1.0), [2, 0])
@@ -135,6 +142,30 @@ class TestLpExact:
             # the truth is feasible, so the optimum cannot exceed it
             assert res.objective <= core.norm_lp(inst.x, 1) + 1e-9
 
+    def test_certificate_is_dual_feasible_and_tight(self):
+        for seed in range(10):
+            inst = _random_instance(seed)
+            lp = solver.lp_formulate(inst.phi, inst.y, inst.epsilon)
+            res = solver.solve_lp_exact(lp)
+            assert res.status == "optimal"
+            duals = np.array(res.certificate["duals"])
+            assert np.all(duals <= 1e-9)
+            assert np.all(lp.a_ub.T @ duals <= lp.c + 1e-8)
+            dual_obj = res.certificate["dual_objective"]
+            assert abs(dual_obj - res.objective) <= 1e-9 * (1.0 + res.objective)
+
+    def test_degenerate_grid_trials_solve_within_pivot_budget(self):
+        # Degenerate LPs on which a switch to Bland's rule after a run of
+        # degenerate pivots exhausts the 20,000-pivot cap; Dantzig pricing
+        # alone solves each in 561-899 pivots.
+        for trial in (4, 32, 39):
+            inst = _exact_grid_instance(trial)
+            res = solver.solve(inst.phi, inst.y, inst.epsilon,
+                               solver.SolverConfig(method="lp-exact", max_iters=2000))
+            assert res.status == "optimal"
+            assert res.residual_l1 <= inst.epsilon + 1e-8
+            assert res.iters < 1000
+
 
 class TestFirstOrder:
     def test_zero_solution_fast_path(self):
@@ -210,19 +241,13 @@ class TestLpStatusMapping:
         # a capped basis is not certified, wherever the cap struck
         assert res.status == "iteration-limit"
         assert not res.is_usable()
-
-    def test_capped_solve_with_infeasible_iterate_is_not_usable(self):
-        # Trial 4 of the 128x64, k=4, s=4 grid at seed 14142 stalls at the
-        # 20,000-pivot cap on an iterate whose residual exceeds epsilon and
-        # whose objective is far above the optimum (about 2).
-        inst = make_instance(128, 64, 4, {"kind": "sparse", "s": 4, "scale": 1.0},
-                             {"kind": "sparse", "amplitude": "gaussian"},
-                             RngSpec(14142).child(0).child(4))
+        # a cap in phase 2 (phase 1 ends at pivot 153) keeps a feasible iterate
+        inst = _exact_grid_instance(4)
         res = solver.solve(inst.phi, inst.y, inst.epsilon,
-                           solver.SolverConfig(method="lp-exact", max_iters=2000))
-        assert res.iters == 20_000
-        assert res.residual_l1 > inst.epsilon
+                           solver.SolverConfig(method="lp-exact", max_iters=30))
         assert res.status == "iteration-limit"
+        assert res.iters == 300
+        assert res.residual_l1 <= inst.epsilon + 1e-8
         assert not res.is_usable()
 
     def test_unbounded_reduction_rejected(self):
