@@ -28,10 +28,10 @@ EXIT_SOLVER = 4
 
 def _load_config(path) -> dict:
     doc = matio.read_json(path)
-    if isinstance(doc.get("config"), dict):
-        doc = doc["config"]  # allow replaying from an embedded echo
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: config must be a JSON object")
+    if isinstance(doc.get("config"), dict):
+        doc = doc["config"]  # allow replaying from an embedded echo
     return doc
 
 
@@ -57,11 +57,13 @@ def _require(resolved: dict, *keys):
 
 
 def _parse_amplitude(value):
-    if isinstance(value, (list, tuple)):
-        return ("uniform", float(value[1]), float(value[2]))
+    """Normalise the uniform amplitude law, given as "uniform:a:b" or as
+    a ["uniform", a, b] list, to the list form; other values pass through
+    to the generator, which rejects unknown laws."""
     if isinstance(value, str) and value.startswith("uniform:"):
-        _, lo, hi = value.split(":")
-        return ("uniform", float(lo), float(hi))
+        value = ["uniform", *value.split(":")[1:]]
+    if isinstance(value, (list, tuple)) and len(value) == 3 and value[0] == "uniform":
+        return ["uniform", float(value[1]), float(value[2])]
     return value
 
 
@@ -110,9 +112,9 @@ _GEN_KEYS = {
 def cmd_gen(args) -> int:
     resolved = _resolve(args, _GEN_KEYS)
     _require(resolved, "out", "n", "m", "k")
-    amplitude = _parse_amplitude(resolved["amplitude"])
+    resolved["amplitude"] = _parse_amplitude(resolved["amplitude"])
     if resolved["signal"] == "sparse":
-        signal_spec = {"kind": "sparse", "amplitude": amplitude}
+        signal_spec = {"kind": "sparse", "amplitude": resolved["amplitude"]}
     else:
         signal_spec = {"kind": "compressible", "p": float(resolved["p"])}
     kind = resolved["noise"]
@@ -132,9 +134,7 @@ def cmd_gen(args) -> int:
     rng = RngSpec(int(resolved["seed"]), int(resolved["stream"]))
     instance = make_instance(int(resolved["n"]), int(resolved["m"]), int(resolved["k"]),
                              noise_spec, signal_spec, rng)
-    echo = dict(resolved)
-    echo["amplitude"] = list(amplitude) if isinstance(amplitude, tuple) else amplitude
-    save_bundle(resolved["out"], instance, extra_meta={"config": echo})
+    save_bundle(resolved["out"], instance, extra_meta={"config": resolved})
     print(f"wrote instance bundle to {resolved['out']}")
     return EXIT_OK
 
@@ -220,6 +220,7 @@ def cmd_grid(args) -> int:
     _require(resolved, "out", "n", "m_values", "k_values", "s_values")
     for key in ("m_values", "k_values", "s_values"):
         resolved[key] = list(_parse_int_list(resolved[key]))
+    resolved["amplitude"] = _parse_amplitude(resolved["amplitude"])
     spec = GridSpec.from_dict(resolved)
     result = run_grid(spec)
     os.makedirs(resolved["out"], exist_ok=True)

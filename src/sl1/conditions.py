@@ -254,7 +254,10 @@ def _sample_pair(stream, n, k, overlap_share, disjoint_ok):
         comp = core.complement_support(su, n)
         sv = comp[stream.subset(n - 2 * k, k)]
         return su, sv, "disjoint"
-    o = 1 + stream.integer_below(k)
+    # at least 3k - n of the k indices must come from su: only n - 2k
+    # lie outside it
+    lo = max(1, 3 * k - n)
+    o = lo + stream.integer_below(k - lo + 1)
     inside = su[stream.subset(2 * k, o)]
     if k - o > 0:
         comp = core.complement_support(su, n)
@@ -438,18 +441,17 @@ def condition_verdict(estimate: ConditionEstimate) -> str:
 
 @dataclass(frozen=True)
 class SampleBoundParams:
-    """Inputs of the sample-complexity bound; c_sample and c_prob stand
-    for the unspecified universal constants and default to placeholder 1."""
+    """Inputs of the sample-complexity bound; c_sample stands for the
+    unspecified universal constant and defaults to placeholder 1."""
 
     c_sample: float = 1.0
-    c_prob: float = 1.0
     delta: float = 1.0
     k: int = 1
     n: int = 1
 
     def __post_init__(self):
-        if self.c_sample <= 0 or self.c_prob <= 0:
-            raise ValueError("constants must be positive")
+        if self.c_sample <= 0:
+            raise ValueError("c_sample must be positive")
         if not 0.0 < self.delta <= 1.0:
             raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
         if not 1 <= self.k <= self.n:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, simplex
-from .rng import RngSpec, Stream
 
 METHOD_LP = "lp-exact"
 METHOD_FIRST_ORDER = "first-order"
@@ -28,13 +27,8 @@ STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible-detected"
 STATUS_ITER_LIMIT = "iteration-limit"
 
-# Fixed stream for internal randomized linear algebra (power iteration);
-# keeps every solve a pure function of its arguments.
-_INTERNAL_RNG = RngSpec(0x51F1, 0)
-
-# First-order step rule: power iterations for the step-size bound, the
-# period of the feasibility/gap check, and the over-relaxation factor.
-NORM_ITERS = 300
+# First-order step rule: the period of the feasibility/gap check and the
+# over-relaxation factor.
 CHECK_EVERY = 10
 RELAX = 1.8
 
@@ -124,23 +118,9 @@ def project_l1_ball(v, radius: float) -> np.ndarray:
     return np.sign(v) * np.maximum(mags - theta, 0.0)
 
 
-def operator_norm_estimate(phi, iters: int = 100) -> float:
-    """Power-iteration lower bound on the spectral norm ||phi||_2."""
-    phi = core.as_matrix(phi, "phi")
-    if iters < 1:
-        raise ValueError(f"iters must be positive, got {iters}")
-    b = Stream(_INTERNAL_RNG).unit_vector(phi.shape[1])
-    estimate = 0.0
-    for _ in range(int(iters)):
-        z = phi.T @ (phi @ b)
-        norm = float(np.sqrt(z @ z))
-        if norm <= 0.0:
-            return 0.0
-        b = z / norm
-        previous, estimate = estimate, float(np.sqrt(np.sum((phi @ b) ** 2)))
-        if abs(estimate - previous) <= 1e-13 * max(estimate, 1.0):
-            break
-    return estimate
+def operator_norm_estimate(phi) -> float:
+    """Spectral norm ||phi||_2 (the largest singular value)."""
+    return float(np.linalg.norm(core.as_matrix(phi, "phi"), 2))
 
 
 @dataclass
@@ -239,30 +219,18 @@ class _FeasibilityPolish:
     """Turn a nearly feasible iterate into a feasible candidate.
 
     The residual r = y - phi u is pulled to its l1-ball projection r'
-    and the iterate is corrected through the least-norm (m <= n) or
-    least-squares (m > n) solution of phi du = r - r'.  Near the
-    optimum the correction cost is of the order of the feasibility
-    violation, which lets the duality-gap test certify iterates that
-    merely graze the constraint boundary.
+    and the iterate is corrected by pinv(phi) @ (r - r'), the
+    minimum-norm least-squares solution of phi du = r - r' for any shape
+    or rank of phi.  Near the optimum the correction cost is of the
+    order of the feasibility violation, which lets the duality-gap test
+    certify iterates that merely graze the constraint boundary.
     """
 
     def __init__(self, phi):
-        self.phi = phi
-        self.wide = phi.shape[0] <= phi.shape[1]
-        gram = phi @ phi.T if self.wide else phi.T @ phi
-        ridge = 1e-12 * float(np.trace(gram)) / gram.shape[0]
-        self.gram = gram + ridge * np.eye(gram.shape[0])
+        self.pinv = np.linalg.pinv(phi)
 
     def candidate(self, u, r, epsilon):
-        shift = r - project_l1_ball(r, epsilon * (1.0 - 1e-9))
-        try:
-            if self.wide:
-                du = self.phi.T @ np.linalg.solve(self.gram, shift)
-            else:
-                du = np.linalg.solve(self.gram, self.phi.T @ shift)
-        except np.linalg.LinAlgError:
-            return None
-        return u + du
+        return u + self.pinv @ (r - project_l1_ball(r, epsilon * (1.0 - 1e-9)))
 
 
 def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> SolverResult:
@@ -293,7 +261,9 @@ def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> So
         return SolverResult(np.zeros(n), 0.0, y_l1, STATUS_OPTIMAL, 0,
                             {"stop": "zero-feasible"})
 
-    lip = operator_norm_estimate(phi, iters=NORM_ITERS) * 1.02
+    # The 2% margin keeps tau * sigma * ||phi||^2 < 1 strictly, which the
+    # relaxed primal-dual iteration needs to converge.
+    lip = operator_norm_estimate(phi) * 1.02
     if lip <= 0.0:
         # phi is the zero matrix and y is outside the residual ball
         return SolverResult(np.zeros(n), math.inf, y_l1, STATUS_INFEASIBLE, 0, None)
@@ -333,13 +303,12 @@ def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> So
             if polish is None:
                 polish = _FeasibilityPolish(phi)
             cand = polish.candidate(u_hat, r, epsilon)
-            if cand is not None:
-                cand_res = residual_l1(phi, y, cand)
-                cand_obj = core.norm_lp(cand, 1)
-                if cand_res <= epsilon + ftol and cand_obj < best_obj:
-                    best_u = cand
-                    best_obj = cand_obj
-                    best_res = cand_res
+            cand_res = residual_l1(phi, y, cand)
+            cand_obj = core.norm_lp(cand, 1)
+            if cand_res <= epsilon + ftol and cand_obj < best_obj:
+                best_u = cand
+                best_obj = cand_obj
+                best_res = cand_res
         gap = best_obj - _dual_lower_bound(q_top, phit_q, y, epsilon)
         if best_u is not None and gap <= otol * (1.0 + abs(best_obj)):
             stop = "gap"

@@ -53,6 +53,13 @@ class TestGen:
         assert main(["gen", "--out", str(tmp_path / "x")]) == 2
         assert "missing required parameter" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["[1, 2]", '"x"', "3"])
+    def test_config_that_is_not_an_object_exits_3(self, tmp_path, capsys, text):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        assert main(["gen", "--config", str(config)]) == 3
+        assert "must be a JSON object" in capsys.readouterr().err
+
     def test_laplacian_and_compressible_options(self, tmp_path):
         path = tmp_path / "lap"
         assert main(["gen", "--out", str(path), "--n", "8", "--m", "6", "--k", "2",
@@ -234,6 +241,31 @@ class TestGrid:
         first = outputs()
         assert main(["--threads", "2", *args]) == 0
         assert outputs() == first
+
+    def test_uniform_amplitude_flag_runs_and_replays(self, tmp_path):
+        out = tmp_path / "grid"
+        assert main(["grid", "--out", str(out), "--n", "8", "--m-values", "10",
+                     "--k-values", "2", "--s-values", "1", "--trials", "2", "--seed", "5",
+                     "--amplitude", "uniform:0.5:1.0"]) == 0
+        first_csv = (out / "trials.csv").read_text()
+        first_summary = (out / "summary.json").read_bytes()
+        assert matio.read_json(out / "summary.json")["config"]["amplitude"] == ["uniform", 0.5, 1.0]
+        assert main(["grid", "--config", str(out / "summary.json")]) == 0
+
+        def strip_runtime(text):
+            return [line.rsplit(",", 1)[0] for line in text.splitlines()]
+
+        assert strip_runtime((out / "trials.csv").read_text()) == strip_runtime(first_csv)
+        assert (out / "summary.json").read_bytes() == first_summary
+
+    @pytest.mark.parametrize("amplitude", ["uniform:0.5", "uniform:a:b", "bogus",
+                                           ["uniform", 0.5], ["gaussian"]])
+    def test_malformed_amplitude_exits_2(self, tmp_path, amplitude):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"out": str(tmp_path / "g"), "n": 8, "m_values": [10],
+                                      "k_values": [2], "s_values": [1], "trials": 1,
+                                      "amplitude": amplitude}))
+        assert main(["grid", "--config", str(config)]) == 2
 
     def test_bad_values_exit_2(self, tmp_path, capsys):
         assert main(["grid", "--out", str(tmp_path / "g"), "--n", "6",

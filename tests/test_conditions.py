@@ -151,6 +151,18 @@ class TestCrossSearch:
         assert part.families["overlap"] > 0
         assert part.families["disjoint"] + part.families["overlap"] == 40
 
+    @pytest.mark.parametrize("m,n,k", [(10, 4, 2), (12, 6, 3), (12, 7, 3)])
+    def test_overlap_only_when_3k_exceeds_n(self, m, n, k):
+        # only n - 2k indices lie outside a 2k-support, so every sampled
+        # pair must overlap in at least 3k - n of them
+        phi = gen_gaussian_matrix(m, n, RngSpec(23))
+        budget = SearchBudget()
+        part = conditions.estimate_cross_deviation(phi, k, budget, RngSpec(24))
+        assert part.families["overlap"] == budget.num_pairs
+        w = part.witness
+        u, v = w.u_vector(n), w.v_vector(n)
+        assert abs(conditions.sign_cross_deviation(phi, u, v) - part.value) <= 1e-12
+
     def test_no_family_available_rejected(self):
         phi = gen_gaussian_matrix(5, 4, RngSpec(21))
         with pytest.raises(ValueError):
@@ -214,9 +226,9 @@ class TestVerdict:
 
 class TestLemmaFormulas:
     def test_sample_bound_examples(self):
-        params = conditions.SampleBoundParams(c_sample=1, c_prob=1, delta=1.0, k=2, n=16)
+        params = conditions.SampleBoundParams(c_sample=1, delta=1.0, k=2, n=16)
         assert conditions.sample_complexity_bound(params) == 6
-        params = conditions.SampleBoundParams(c_sample=1, c_prob=1, delta=0.5, k=2, n=16)
+        params = conditions.SampleBoundParams(c_sample=1, delta=0.5, k=2, n=16)
         assert conditions.sample_complexity_bound(params) == 355
 
     def test_sample_bound_linear_in_constant(self):

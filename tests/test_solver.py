@@ -230,6 +230,44 @@ class TestFirstOrder:
         assert scaled.objective == pytest.approx(2.0 * base.objective, rel=1e-9)
 
 
+def _degenerate_case(name):
+    """Degenerate (phi, y, epsilon) inputs built from small random instances."""
+    def base(n, m, seed):
+        return make_instance(n, m, 2, {"kind": "sparse", "s": 1, "scale": 1.0},
+                             {"kind": "sparse", "amplitude": "gaussian"}, RngSpec(seed))
+
+    inst = base(10, 8, 31)
+    phi, y, eps = inst.phi.copy(), inst.y.copy(), inst.epsilon
+    if name == "zero-column":
+        phi[:, 3] = 0.0
+    elif name == "duplicate-column":
+        phi[:, 5] = phi[:, 1]
+    elif name == "duplicate-row":  # phi @ phi.T is singular
+        phi[7], y[7] = phi[0], y[0]
+    elif name == "tall":
+        tall = base(6, 12, 32)
+        phi, y, eps = tall.phi, tall.y, tall.epsilon
+    elif name == "one-row-zero-epsilon":
+        row = base(10, 1, 33)
+        phi, y, eps = row.phi, row.y, 0.0
+    elif name == "epsilon-at-norm-of-y":
+        eps = core.norm_lp(y, 1)
+    return phi, y, eps
+
+
+class TestDegenerateInputs:
+    @pytest.mark.parametrize("name", ["zero-column", "duplicate-column", "duplicate-row",
+                                      "tall", "one-row-zero-epsilon",
+                                      "epsilon-at-norm-of-y"])
+    def test_first_order_matches_lp_exact(self, name):
+        phi, y, eps = _degenerate_case(name)
+        lp = solver.solve(phi, y, eps, solver.SolverConfig(method="lp-exact"))
+        fo = solver.solve(phi, y, eps)
+        assert lp.status == "optimal" and fo.status == "optimal"
+        assert abs(fo.objective - lp.objective) <= 1e-6 * (1.0 + lp.objective)
+        assert fo.residual_l1 <= eps + 1e-8
+
+
 class TestLpStatusMapping:
     def test_pivot_limit_reports_iteration_limit(self):
         inst = _random_instance(8, n_max=25, m_max=25)
