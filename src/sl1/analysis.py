@@ -277,6 +277,10 @@ class GridSpec:
     objective_tol: float = 1e-7
     max_iters: int = 50_000
 
+    def __post_init__(self):
+        if self.trials < 0:
+            raise ValueError(f"trials must be nonnegative, got {self.trials}")
+
     def solver_config(self) -> SolverConfig:
         return SolverConfig(method=self.method, feasibility_tol=self.feasibility_tol,
                             objective_tol=self.objective_tol, max_iters=self.max_iters)

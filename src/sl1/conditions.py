@@ -89,6 +89,14 @@ class SearchBudget:
     exhaustive_cap: int = 10_000  # enumerate supports when the count fits
     overlap_share: float = 0.5    # fraction of sampled pairs with overlapping supports
 
+    def __post_init__(self):
+        counts = (self.num_supports, self.num_pairs, self.starts, self.steps,
+                  self.exhaustive_cap)
+        if min(counts) < 0:
+            raise ValueError("search budget counts must be nonnegative")
+        if not 0.0 <= self.overlap_share <= 1.0:
+            raise ValueError(f"overlap_share must lie in [0, 1], got {self.overlap_share}")
+
     def engaged(self) -> bool:
         return self.starts >= 1 and (self.num_supports >= 1 or self.num_pairs >= 1)
 

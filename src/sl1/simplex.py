@@ -1,6 +1,12 @@
-"""Self-contained dense two-phase simplex for LPs of the form
+"""Self-contained dense simplex for LPs of the form
 
-    minimize c @ x   subject to   a @ x <= b,  x >= 0.
+    minimize c @ x   subject to   a @ x <= b,  x >= 0,   with b >= 0.
+
+The origin is then a feasible vertex, so one phase suffices: the solve
+starts from the slack basis, and a negative right-hand side is rejected
+with ``ValueError``.  An LP with nonnegative costs but a negative
+right-hand side can be solved through its dual, which meets this form;
+``solver.solve_lp_exact`` does so.
 
 Dantzig pricing picks the entering column (most negative reduced
 cost); the ratio test picks the leaving row, breaking minimum-ratio ties
@@ -16,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 PIVOT_LIMIT = "pivot-limit"
 
@@ -45,10 +50,11 @@ def _pivot(tableau, cost, basis, row, col):
     basis[row] = col
 
 
-def _iterate(tableau, cost, basis, allowed, max_pivots, pivots):
+def _iterate(tableau, cost, basis, max_pivots):
     """Pivot until optimal/unbounded/limit."""
+    pivots = 0
     while True:
-        negative = np.nonzero(cost[:allowed] < -TOL)[0]
+        negative = np.nonzero(cost[:-1] < -TOL)[0]
         if negative.size == 0:
             return OPTIMAL, pivots
         if pivots >= max_pivots:
@@ -78,72 +84,19 @@ def solve_canonical(c, a, b, max_pivots: int = 100_000) -> SimplexResult:
         raise ValueError("objective/rhs shapes do not match the constraint matrix")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b)) and np.all(np.isfinite(c))):
         raise ValueError("LP data must be finite")
+    if np.any(b < 0):
+        raise ValueError("right-hand side must be nonnegative (the origin must be feasible)")
 
-    body = np.hstack([a, np.eye(m)])
-    rhs = b.astype(np.float64).copy()
-    negative_rows = np.nonzero(rhs < 0)[0]
-    body[negative_rows] *= -1.0
-    rhs[negative_rows] *= -1.0
-
-    n_slack = n + m
-    n_art = negative_rows.size
-    tableau = np.zeros((m, n_slack + n_art + 1))
-    tableau[:, :n_slack] = body
-    tableau[:, -1] = rhs
-    basis = np.arange(n, n_slack, dtype=np.int64)
-    for j, i in enumerate(negative_rows):
-        col = n_slack + j
-        tableau[i, col] = 1.0
-        basis[i] = col
-
-    pivots = 0
-    keep_rows = np.arange(m)
-    if n_art:
-        cost1 = np.zeros(n_slack + n_art + 1)
-        cost1[n_slack:n_slack + n_art] = 1.0
-        for i in negative_rows:
-            cost1 -= tableau[i]
-        status, pivots = _iterate(tableau, cost1, basis, n_slack + n_art, max_pivots, pivots)
-        if status == PIVOT_LIMIT:
-            return SimplexResult(PIVOT_LIMIT, None, None, pivots, None)
-        artificial = basis >= n_slack
-        phase1_obj = float(tableau[artificial, -1].sum()) if artificial.any() else 0.0
-        if phase1_obj > TOL * (1.0 + float(np.abs(b).max(initial=0.0))):
-            return SimplexResult(INFEASIBLE, None, None, pivots, None)
-        # Drive leftover (zero-valued) artificials out of the basis;
-        # a row with no usable pivot is redundant and gets dropped.
-        drop = []
-        for i in np.nonzero(basis >= n_slack)[0]:
-            row = tableau[i, :n_slack]
-            candidates = np.nonzero(np.abs(row) > TOL)[0]
-            if candidates.size:
-                _pivot(tableau, cost1, basis, int(i), int(candidates[0]))
-                pivots += 1
-            else:
-                drop.append(int(i))
-        if drop:
-            keep = np.setdiff1d(np.arange(m), np.array(drop, dtype=int))
-            tableau = tableau[keep]
-            basis = basis[keep]
-            keep_rows = keep_rows[keep]
-        tableau = np.hstack([tableau[:, :n_slack], tableau[:, -1:]])
-
-    cost2 = np.zeros(n_slack + 1)
-    cost2[:n] = c
-    for i in range(basis.size):
-        if cost2[basis[i]] != 0.0:
-            cost2 -= cost2[basis[i]] * tableau[i]
-    status, pivots = _iterate(tableau, cost2, basis, n_slack, max_pivots, pivots)
-
+    # Start from the slack basis at the origin; its reduced costs are c.
+    tableau = np.hstack([a, np.eye(m), b[:, None]])
+    cost = np.concatenate([c, np.zeros(m + 1)])
+    basis = np.arange(n, n + m, dtype=np.int64)
+    status, pivots = _iterate(tableau, cost, basis, max_pivots)
     if status == UNBOUNDED:
         return SimplexResult(UNBOUNDED, None, None, pivots, None)
 
-    full = np.zeros(n_slack)
+    full = np.zeros(n + m)
     full[basis] = tableau[:, -1]
     x = full[:n]
-    objective = float(c @ x)
-    # Dual of original row i is minus the reduced cost of its slack
-    # column (the sign flips applied above cancel out).
-    duals = np.zeros(m)
-    duals[keep_rows] = -cost2[n + keep_rows]
-    return SimplexResult(status, x, objective, pivots, duals)
+    # Dual of row i is minus the reduced cost of its slack column.
+    return SimplexResult(status, x, float(c @ x), pivots, -cost[n:n + m])

@@ -3,14 +3,15 @@
     minimize ||u||_1   subject to   ||y - phi @ u||_1 <= epsilon.
 
 Two routes share one result contract: an exact reduction to a linear
-program solved by the built-in simplex method (the reference oracle for
-small problems), and a relaxed primal-dual splitting scheme (the
-scalable path).  The primal-dual solver certifies optimality through an
-explicit duality gap: any q with ||phi.T @ q||_inf <= 1 gives the lower
-bound q @ y - epsilon * ||q||_inf on the optimal value, so a feasible
-iterate whose objective meets that bound up to tolerance is accepted.
-That gap test is its only stop rule besides the iteration cap, and the
-gap it accepted is the one reported in the certificate.
+program, whose dual the built-in simplex method solves from the origin
+(the reference oracle for small problems), and a relaxed primal-dual
+splitting scheme (the scalable path).  The primal-dual solver certifies
+optimality through an explicit duality gap: any q with
+||phi.T @ q||_inf <= 1 gives the lower bound q @ y - epsilon * ||q||_inf
+on the optimal value, so a feasible iterate whose objective meets that
+bound up to tolerance is accepted.  That gap test is its only stop rule
+besides the iteration cap, and the gap it accepted is the one reported
+in the certificate.
 """
 
 import math
@@ -177,32 +178,37 @@ def lp_formulate(phi, y, epsilon: float) -> LpProblem:
 
 
 def solve_lp_exact(lp: LpProblem, config: SolverConfig = None) -> SolverResult:
-    """Exact solve of the LP reduction with the built-in simplex method."""
+    """Exact solve of the LP reduction through its dual
+
+        minimize b_ub @ p   s.t.   -a_ub.T @ p <= c,  p >= 0,
+
+    whose right-hand side c is nonnegative, so the built-in simplex
+    method starts it feasible at the origin.  The primal z comes back as
+    the dual's row duals, and the certificate keeps the primal's duals
+    (-p).  An unbounded dual means the residual ball is out of reach
+    ("infeasible-detected"); a solve capped at 10 * max_iters pivots
+    carries no iterate ("iteration-limit").
+    """
     cfg = config if config is not None else SolverConfig(method=METHOD_LP)
-    res = simplex.solve_canonical(lp.c, lp.a_ub, lp.b_ub, max_pivots=cfg.max_iters * 10)
-    if res.status == simplex.INFEASIBLE:
+    res = simplex.solve_canonical(lp.b_ub, -lp.a_ub.T, lp.c, max_pivots=cfg.max_iters * 10)
+    if res.status != simplex.OPTIMAL:
+        status = STATUS_INFEASIBLE if res.status == simplex.UNBOUNDED else STATUS_ITER_LIMIT
         return SolverResult(
             u_star=np.zeros(lp.phi.shape[1]), objective=math.inf, residual_l1=math.inf,
-            status=STATUS_INFEASIBLE, iters=res.pivots, certificate=None)
-    if res.status == simplex.UNBOUNDED:
-        raise ValueError("LP reduction is unbounded; the problem data is malformed")
-    if res.x is None:  # pivot limit before any feasible basis existed
-        return SolverResult(
-            u_star=np.zeros(lp.phi.shape[1]), objective=math.inf, residual_l1=math.inf,
-            status=STATUS_ITER_LIMIT, iters=res.pivots, certificate=None)
-    u = lp.signal_from(res.x)
-    dual_obj = float(lp.b_ub @ res.duals)
+            status=status, iters=res.pivots, certificate=None)
+    z = -res.duals
+    u = lp.signal_from(z)
+    dual_obj = -res.objective
     certificate = {
-        "duals": [float(v) for v in res.duals],
+        "duals": [float(v) for v in -res.x],
         "dual_objective": dual_obj,
-        "strong_duality_gap": float(res.objective - dual_obj),
+        "strong_duality_gap": float(lp.c @ z - dual_obj),
     }
-    status = STATUS_OPTIMAL if res.status == simplex.OPTIMAL else STATUS_ITER_LIMIT
     return SolverResult(
         u_star=u,
         objective=core.norm_lp(u, 1),
         residual_l1=residual_l1(lp.phi, lp.y, u),
-        status=status,
+        status=STATUS_OPTIMAL,
         iters=res.pivots,
         certificate=certificate,
     )

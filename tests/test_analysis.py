@@ -194,6 +194,14 @@ class TestTrials:
         assert summary["condition_certified"] is False
         assert summary["config"]["n"] == 8
 
+    def test_negative_trials_rejected(self):
+        with pytest.raises(ValueError):
+            analysis.GridSpec(n=8, m_values=(10,), k_values=(1,), s_values=(0,),
+                              trials=-2, seed=3)
+        spec = analysis.GridSpec(n=8, m_values=(10,), k_values=(1,), s_values=(0,),
+                                 trials=0, seed=3)
+        assert analysis.run_grid(spec).records == []
+
     def test_grid_spec_round_trip(self):
         spec = analysis.GridSpec(n=8, m_values=(10, 12), k_values=(1,), s_values=(0,),
                                  trials=2, seed=3, method="lp-exact")

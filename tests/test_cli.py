@@ -125,6 +125,20 @@ class TestSolve:
                      "--max-iters", "3"]) == 4
         assert matio.read_json(out)["status"] == "iteration-limit"
 
+    def test_infeasible_lp_exact_exits_4(self, tmp_path, monkeypatch):
+        # a valid bundle always admits its own x, so the loader is replaced
+        # by one returning a tall phi that cannot reach y within epsilon
+        from types import SimpleNamespace
+        from sl1 import cli
+        from sl1.rng import RngSpec, Stream
+        st = Stream(RngSpec(17))
+        inst = SimpleNamespace(phi=st.normal(48).reshape(12, 4), y=st.normal(12), epsilon=0.01)
+        monkeypatch.setattr(cli, "load_bundle", lambda path: inst)
+        out = tmp_path / "res.json"
+        assert main(["solve", "--bundle", "unused", "--out", str(out),
+                     "--method", "lp-exact"]) == 4
+        assert matio.read_json(out)["status"] == "infeasible-detected"
+
 
 class TestConditions:
     def test_report_on_bundle(self, bundle, tmp_path):
@@ -145,6 +159,15 @@ class TestConditions:
         assert doc["estimate"]["norm_dev_lower"] == 0.0
         assert doc["estimate"]["cross_dev_lower"] == 0.0
         assert doc["estimate"]["samples"] == 0
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--supports", "-5"), ("--starts", "-1"), ("--steps", "-3"),
+        ("--overlap-share", "1.5")])
+    def test_out_of_range_budget_exits_2(self, bundle, tmp_path, flag, value):
+        out = tmp_path / "cond.json"
+        assert main(["conditions", "--bundle", str(bundle), "--out", str(out),
+                     flag, value]) == 2
+        assert not out.exists()
 
     def test_matrix_file_input(self, bundle, tmp_path):
         out = tmp_path / "cond.json"
@@ -266,6 +289,12 @@ class TestGrid:
                                       "k_values": [2], "s_values": [1], "trials": 1,
                                       "amplitude": amplitude}))
         assert main(["grid", "--config", str(config)]) == 2
+
+    def test_negative_trials_exits_2(self, tmp_path):
+        out = tmp_path / "g"
+        assert main(["grid", "--out", str(out), "--n", "8", "--m-values", "10",
+                     "--k-values", "1", "--s-values", "0", "--trials", "-2"]) == 2
+        assert not out.exists()
 
     def test_bad_values_exit_2(self, tmp_path, capsys):
         assert main(["grid", "--out", str(tmp_path / "g"), "--n", "6",

@@ -68,6 +68,21 @@ class TestCrossDeviation:
             conditions.sign_cross_deviation(np.eye(2), [1.0, 0.0], [1.0, 1.0])
 
 
+class TestSearchBudget:
+    @pytest.mark.parametrize("field, value", [
+        ("num_supports", -5), ("num_pairs", -1), ("starts", -1), ("steps", -3),
+        ("exhaustive_cap", -1), ("overlap_share", 1.5), ("overlap_share", -0.1)])
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            SearchBudget(**{field: value})
+
+    def test_zero_and_share_bounds_accepted(self):
+        budget = SearchBudget(num_supports=0, num_pairs=0, starts=0, steps=0,
+                              exhaustive_cap=0, overlap_share=0.0)
+        assert not budget.engaged()
+        assert SearchBudget(overlap_share=1.0).overlap_share == 1.0
+
+
 class TestNormSearch:
     def test_zero_budget_gives_zero_estimate(self):
         phi = gen_gaussian_matrix(10, 6, RngSpec(3))

