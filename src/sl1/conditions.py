@@ -139,52 +139,64 @@ class SearchPart:
     families: dict | None = None  # cross search: pairs per sampling family
 
 
-def _ascend_sphere(bsub, nu, z0, direction, steps):
-    """Hill-climb direction * ((1/M)||B z||_1 - nu) over the unit sphere."""
+def _ascend_lanes(bsub, nu, z0, directions, steps):
+    """Hill-climb directions[j] * ((1/M)||B z_j||_1 - nu) over the unit
+    sphere from every column z0[:, j] at once, one product with B per
+    step for all lanes.
+
+    Each lane keeps its own step size and stops on its own, when its
+    projected gradient vanishes or its step size falls below 1e-9; a
+    stopped lane no longer changes.  Returns the unit columns, |objective|
+    and the objective evaluations of every lane.
+    """
     m = bsub.shape[0]
-    z = z0 / math.sqrt(float(z0 @ z0))
-    val = float(np.sum(np.abs(bsub @ z))) / m - nu
-    eta = 0.5
-    evals = 1
+    z = z0 / np.sqrt(np.sum(z0 * z0, axis=0))
+    bz = bsub @ z
+    val = np.sum(np.abs(bz), axis=0) / m - nu
+    eta = np.full(z.shape[1], 0.5)
+    evals = np.ones(z.shape[1], dtype=np.int64)
+    live = np.ones(z.shape[1], dtype=bool)
     for _ in range(steps):
-        grad = direction * (bsub.T @ np.sign(bsub @ z)) / m
-        grad -= (grad @ z) * z
-        gnorm = math.sqrt(float(grad @ grad))
-        if gnorm < 1e-14:
+        grad = directions * (bsub.T @ np.sign(bz)) / m
+        grad -= np.sum(grad * z, axis=0) * z
+        gnorm = np.sqrt(np.sum(grad * grad, axis=0))
+        live &= gnorm >= 1e-14
+        if not live.any():
             break
-        cand = z + (eta / gnorm) * grad
-        cand /= math.sqrt(float(cand @ cand))
-        cval = float(np.sum(np.abs(bsub @ cand))) / m - nu
-        evals += 1
-        if direction * cval > direction * val:
-            z, val = cand, cval
-            eta = min(eta * 1.3, 1.0)
-        else:
-            eta *= 0.5
-            if eta < 1e-9:
-                break
-    return z, abs(val), evals
+        cand = z + (eta / np.where(live, gnorm, 1.0)) * grad
+        cand /= np.sqrt(np.sum(cand * cand, axis=0))
+        bcand = bsub @ cand
+        cval = np.sum(np.abs(bcand), axis=0) / m - nu
+        evals += live
+        up = live & (directions * cval > directions * val)
+        down = live & ~up
+        z = np.where(up, cand, z)
+        bz = np.where(up, bcand, bz)
+        val = np.where(up, cval, val)
+        eta = np.where(up, np.minimum(eta * 1.3, 1.0), np.where(down, eta * 0.5, eta))
+        live &= ~(down & (eta < 1e-9))
+    return z, np.abs(val), evals
 
 
-def _search(items, starts, climb):
-    """Run `starts` climbs from every item in order and keep the best.
+def _search(items, climb):
+    """Climb from every item in order and keep the best ascent.
 
-    climb(item) draws its start from the search stream and yields
-    (value, candidate, evals) per ascent.  Candidates of None never win,
-    and an equal later value does not replace an earlier one, so the
-    first maximum wins.  Sampled-mode callers pass a lazy generator over
-    the same stream, so item draws interleave with the ascent starts and
-    a larger budget extends a smaller one's sample sequence.
+    climb(item) draws the item's starts from the search stream and
+    yields (value, candidate, evals) per ascent, in start order.
+    Candidates of None never win, and an equal later value does not
+    replace an earlier one, so the first maximum wins.  Sampled-mode
+    callers pass a lazy generator over the same stream, so item draws
+    interleave with the ascent starts and a larger budget extends a
+    smaller one's sample sequence.
     Returns (best candidate or None, evals, items visited).
     """
     best_val, best, evals, visited = -1.0, None, 0, 0
     for item in items:
         visited += 1
-        for _ in range(starts):
-            for val, cand, used in climb(item):
-                evals += used
-                if cand is not None and val > best_val:
-                    best_val, best = val, cand
+        for val, cand, used in climb(item):
+            evals += used
+            if cand is not None and val > best_val:
+                best_val, best = val, cand
     return best, evals, visited
 
 
@@ -192,8 +204,10 @@ def estimate_norm_deviation(phi, k: int, budget: SearchBudget, rng: RngSpec) -> 
     """Lower bound on the worst norm deviation over vectors with at
     most 2k nonzeros, by support enumeration (when the count fits the
     budget cap) or sampled supports, with multi-start sphere ascent in
-    both directions.  Supports, starts and ascents all run in order on
-    one stream, rng.child(0)."""
+    both directions.  Supports and starts are drawn in order on one
+    stream, rng.child(0); after a support's `starts` start vectors are
+    drawn, its 2 * starts ascents (up and down from each start) climb
+    together as lanes of one batch."""
     phi = core.as_matrix(phi, "phi")
     m, n = phi.shape
     k = int(k)
@@ -215,16 +229,20 @@ def estimate_norm_deviation(phi, k: int, budget: SearchBudget, rng: RngSpec) -> 
     else:
         supports = (stream.subset(n, width) for _ in range(budget.num_supports))
 
-    def climb(sup):
-        bsub = phi[:, sup]
-        z0 = stream.normal(sup.size)
-        if float(z0 @ z0) < 1e-24:
-            z0 = np.ones(sup.size)
-        for direction in (1.0, -1.0):
-            z, val, used = _ascend_sphere(bsub, nu, z0, direction, budget.steps)
-            yield val, (sup, z), used
+    # lane 2j climbs up from start j, lane 2j + 1 down from it
+    directions = np.tile([1.0, -1.0], budget.starts)
 
-    best, evals, visited = _search(supports, budget.starts, climb)
+    def climb(sup):
+        z0 = np.empty((width, budget.starts))
+        for j in range(budget.starts):
+            z = stream.normal(width)
+            z0[:, j] = z if float(z @ z) >= 1e-24 else 1.0
+        z, vals, used = _ascend_lanes(phi[:, sup], nu, np.repeat(z0, 2, axis=1),
+                                      directions, budget.steps)
+        for lane in range(directions.size):
+            yield float(vals[lane]), (sup, z[:, lane]), int(used[lane])
+
+    best, evals, visited = _search(supports, climb)
     witness = None
     value = 0.0
     if best is not None:
@@ -237,17 +255,23 @@ def estimate_norm_deviation(phi, k: int, budget: SearchBudget, rng: RngSpec) -> 
     return SearchPart(value, witness, evals, visited, total, exhaustive)
 
 
-def _best_cross_for_u(phi, su, zu, sv, u_embedded):
-    """Closed-form best unit v on support sv orthogonal to u (fixed u):
-    project (phi_sv^T sign(phi u)) orthogonally to u restricted to sv."""
-    m = phi.shape[0]
-    signs = core.sign_vec(phi[:, su] @ zu)
-    c = phi[:, sv].T @ signs
-    a = u_embedded[sv]
-    a_sq = float(a @ a)
-    if a_sq > 0.0:
-        c = c - (float(c @ a) / a_sq) * a
-        c = c - (float(c @ a) / a_sq) * a  # second pass kills rounding residue
+def _best_cross_v(bu, bv, shared, zu):
+    """Closed-form best unit v on S_v orthogonal to a fixed unit u on
+    S_u: project phi_sv^T sign(phi u) orthogonally to u restricted to S_v.
+
+    bu = phi[:, S_u] and bv = phi[:, S_v]; shared is None for disjoint
+    supports, else (positions in S_v, positions in S_u) of the indices
+    the two supports have in common.  Returns (value, unit v or None).
+    """
+    m = bu.shape[0]
+    c = bv.T @ np.where(bu @ zu > 0.0, 1.0, -1.0)  # sign(0) = -1, as core.sign_vec
+    if shared is not None:
+        a = np.zeros(bv.shape[1])
+        a[shared[0]] = zu[shared[1]]
+        a_sq = float(a @ a)
+        if a_sq > 0.0:
+            c = c - (float(c @ a) / a_sq) * a
+            c = c - (float(c @ a) / a_sq) * a  # second pass kills rounding residue
     c_norm = math.sqrt(float(c @ c))
     if c_norm < 1e-14:
         return 0.0, None
@@ -285,7 +309,8 @@ def estimate_cross_deviation(phi, k: int, budget: SearchBudget, rng: RngSpec) ->
     supports with v projected onto the orthogonal complement of u inside
     its own support.  The family mix is recorded in the result.  Pairs,
     starts and the random-direction ascent on u all run in order on one
-    stream, rng.child(0).
+    stream, rng.child(0).  The columns of phi on S_u and S_v are sliced
+    once per pair, and every ascent step is evaluated on those blocks.
     """
     phi = core.as_matrix(phi, "phi")
     m, n = phi.shape
@@ -325,27 +350,31 @@ def estimate_cross_deviation(phi, k: int, budget: SearchBudget, rng: RngSpec) ->
 
     def climb(pair):
         su, sv = pair
-        zu = stream.normal(su.size)
-        zn = math.sqrt(float(zu @ zu))
-        zu = zu / zn if zn > 1e-12 else np.ones(su.size) / math.sqrt(su.size)
-        val, zv = _best_cross_for_u(phi, su, zu, sv, core.embed(zu, su, n))
-        evals = 1
-        eta = 0.5
-        for _ in range(budget.steps):
-            cand = zu + eta * stream.normal(su.size)
-            cand /= math.sqrt(float(cand @ cand))
-            cval, czv = _best_cross_for_u(phi, su, cand, sv, core.embed(cand, su, n))
-            evals += 1
-            if cval > val:
-                zu, val, zv = cand, cval, czv
-                eta = min(eta * 1.3, 1.0)
-            else:
-                eta *= 0.5
-                if eta < 1e-9:
-                    break
-        yield val, None if zv is None else (su, zu, sv, zv), evals
+        bu, bv = phi[:, su], phi[:, sv]
+        in_u = np.isin(sv, su)
+        shared = (np.nonzero(in_u)[0], np.searchsorted(su, sv[in_u])) if in_u.any() else None
+        for _ in range(budget.starts):
+            zu = stream.normal(su.size)
+            zn = math.sqrt(float(zu @ zu))
+            zu = zu / zn if zn > 1e-12 else np.ones(su.size) / math.sqrt(su.size)
+            val, zv = _best_cross_v(bu, bv, shared, zu)
+            evals = 1
+            eta = 0.5
+            for _ in range(budget.steps):
+                cand = zu + eta * stream.normal(su.size)
+                cand /= math.sqrt(float(cand @ cand))
+                cval, czv = _best_cross_v(bu, bv, shared, cand)
+                evals += 1
+                if cval > val:
+                    zu, val, zv = cand, cval, czv
+                    eta = min(eta * 1.3, 1.0)
+                else:
+                    eta *= 0.5
+                    if eta < 1e-9:
+                        break
+            yield val, None if zv is None else (su, zu, sv, zv), evals
 
-    best, evals, visited = _search(pairs(), budget.starts, climb)
+    best, evals, visited = _search(pairs(), climb)
     witness = None
     value = 0.0
     if best is not None:

@@ -9,6 +9,7 @@ write-temp-then-rename step so partial files are never observed.
 """
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -42,9 +43,24 @@ def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def _null_non_finite(obj):
+    """obj with every non-finite float (inf, nan) replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _null_non_finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_null_non_finite(value) for value in obj]
+    return obj
+
+
 def dump_json(obj) -> str:
-    """Canonical JSON rendering (sorted keys) so outputs are byte-stable."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Canonical JSON rendering (sorted keys) so outputs are byte-stable.
+
+    JSON (RFC 8259) has no inf or nan, so non-finite floats are written
+    as null; readers that need them back map null to their own value.
+    """
+    return json.dumps(_null_non_finite(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_json(path, obj) -> None:

@@ -90,13 +90,14 @@ class Stream:
         return (self.raw(n) >> np.uint64(11)) * 2.0**-53 + 2.0**-54
 
     def normal(self, n: int) -> np.ndarray:
-        """Standard normals via Box-Muller on consecutive uniform pairs."""
+        """Standard normals via Box-Muller: for half = ceil(n/2), the
+        first half uniforms give the radii and the next half the angles."""
         n = int(n)
         if n == 0:
             return np.zeros(0)
         half = (n + 1) // 2
-        u1 = self.uniform(half)
-        u2 = self.uniform(half)
+        u = self.uniform(2 * half)
+        u1, u2 = u[:half], u[half:]
         radius = np.sqrt(-2.0 * np.log1p(-u1))  # 1 - u1 lies in (0, 1]
         angle = (2.0 * math.pi) * u2
         out = np.empty(2 * half)

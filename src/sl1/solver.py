@@ -78,12 +78,18 @@ class SolverResult:
     def from_json_dict(cls, d: dict) -> "SolverResult":
         return cls(
             u_star=np.asarray(d["u_star"], dtype=np.float64),
-            objective=float(d["objective"]),
-            residual_l1=float(d["residual_l1"]),
+            objective=_float_or_inf(d["objective"]),
+            residual_l1=_float_or_inf(d["residual_l1"]),
             status=str(d["status"]),
             iters=int(d["iters"]),
             certificate=d.get("certificate"),
         )
+
+
+def _float_or_inf(value) -> float:
+    """JSON null stands for an infinite objective or residual (a solve
+    that ended without a usable iterate); see matio.dump_json."""
+    return math.inf if value is None else float(value)
 
 
 def residual_l1(phi, y, u) -> float:

@@ -104,3 +104,49 @@ def cross_deviation_disjoint_max_k1(phi, su, sv, grid_points=4096):
         signs = np.where(bu @ z > 0, 1.0, -1.0)
         best = max(best, abs(float(signs @ bv)) / m)
     return best
+
+
+def box_muller_normals(bitgen, n):
+    """n standard normals from a numpy Philox bit generator, drawing
+    the radius uniforms and the angle uniforms with two separate calls
+    of ceil(n/2) raw 64-bit words each (53-bit uniforms)."""
+    half = (n + 1) // 2
+    u1 = (bitgen.random_raw(half) >> np.uint64(11)) * 2.0**-53
+    u2 = (bitgen.random_raw(half) >> np.uint64(11)) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log1p(-u1))
+    angle = (2.0 * math.pi) * u2
+    out = np.empty(2 * half)
+    out[0::2] = radius * np.cos(angle)
+    out[1::2] = radius * np.sin(angle)
+    return out[:n]
+
+
+def ascend_sphere_scalar(bsub, nu, z0, direction, steps):
+    """One hill climb of direction * ((1/M)||B z||_1 - nu) over the unit
+    sphere from z0: a normalised projected-gradient step of size eta,
+    kept (eta grows by 1.3, at most 1) when the objective improves and
+    retried at half the size otherwise; stops when the projected
+    gradient vanishes or eta drops below 1e-9.
+    Returns (unit z, |objective|, objective evaluations)."""
+    m = bsub.shape[0]
+    z = z0 / math.sqrt(float(z0 @ z0))
+    val = float(np.sum(np.abs(bsub @ z))) / m - nu
+    eta, evals = 0.5, 1
+    for _ in range(steps):
+        grad = direction * (bsub.T @ np.sign(bsub @ z)) / m
+        grad -= (grad @ z) * z
+        gnorm = math.sqrt(float(grad @ grad))
+        if gnorm < 1e-14:
+            break
+        cand = z + (eta / gnorm) * grad
+        cand /= math.sqrt(float(cand @ cand))
+        cval = float(np.sum(np.abs(bsub @ cand))) / m - nu
+        evals += 1
+        if direction * cval > direction * val:
+            z, val = cand, cval
+            eta = min(eta * 1.3, 1.0)
+        else:
+            eta *= 0.5
+            if eta < 1e-9:
+                break
+    return z, abs(val), evals

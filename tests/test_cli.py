@@ -17,6 +17,15 @@ def _read_all(directory):
     return {name: (directory / name).read_bytes() for name in _files(directory)}
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-JSON constant {token}")
+
+
+def _strict_json(path):
+    """Parse a file as RFC 8259 JSON: Infinity, -Infinity and NaN raise."""
+    return json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
 @pytest.fixture
 def bundle(tmp_path):
     path = tmp_path / "bundle"
@@ -131,13 +140,22 @@ class TestSolve:
         from types import SimpleNamespace
         from sl1 import cli
         from sl1.rng import RngSpec, Stream
+        from sl1.solver import SolverResult
         st = Stream(RngSpec(17))
         inst = SimpleNamespace(phi=st.normal(48).reshape(12, 4), y=st.normal(12), epsilon=0.01)
         monkeypatch.setattr(cli, "load_bundle", lambda path: inst)
         out = tmp_path / "res.json"
         assert main(["solve", "--bundle", "unused", "--out", str(out),
                      "--method", "lp-exact"]) == 4
-        assert matio.read_json(out)["status"] == "infeasible-detected"
+        # the infinite objective and residual are JSON null, read back as inf
+        doc = _strict_json(out)
+        assert doc["status"] == "infeasible-detected"
+        assert doc["objective"] is None and doc["residual_l1"] is None
+        result = SolverResult.from_json_dict(doc)
+        assert result.objective == float("inf") and result.residual_l1 == float("inf")
+        again = {"config": doc["config"]}
+        again.update(result.to_json_dict())
+        assert matio.dump_json(again) == out.read_text()
 
 
 class TestConditions:
@@ -296,13 +314,26 @@ class TestGrid:
                      "--k-values", "1", "--s-values", "0", "--trials", "-2"]) == 2
         assert not out.exists()
 
+    def test_zero_trials_summary_is_strict_json_and_replays(self, tmp_path):
+        out = tmp_path / "g"
+        assert main(["grid", "--out", str(out), "--n", "8", "--m-values", "10",
+                     "--k-values", "1", "--s-values", "0", "--trials", "0"]) == 0
+        first = (out / "summary.json").read_bytes()
+        doc = _strict_json(out / "summary.json")
+        cell = doc["cells"][0]
+        assert cell["err_median"] is None and cell["err_q90"] is None
+        assert matio.dump_json(doc).encode() == first
+        assert main(["grid", "--config", str(out / "summary.json")]) == 0
+        assert (out / "summary.json").read_bytes() == first
+
     def test_bad_values_exit_2(self, tmp_path, capsys):
+        # k > n is rejected with the spec, before any trial runs or any
+        # file is written; a malformed flag value is a usage error too
         assert main(["grid", "--out", str(tmp_path / "g"), "--n", "6",
                      "--m-values", "8", "--k-values", "9", "--s-values", "0",
-                     "--trials", "1", "--seed", "0"]) == 0 or True
-        # k > n inside a trial is recorded per-trial, but an invalid spec
-        # (k larger than n everywhere) must still produce valid CSV; a
-        # malformed flag value is a usage error:
+                     "--trials", "1", "--seed", "0"]) == 2
+        assert "need 1 <= k <= n" in capsys.readouterr().err
+        assert not (tmp_path / "g" / "trials.csv").exists()
         assert main(["grid", "--out", str(tmp_path / "g2"), "--n", "6",
                      "--m-values", "abc", "--k-values", "1", "--s-values", "0",
                      "--trials", "1", "--seed", "0"]) == 2

@@ -8,7 +8,8 @@ from sl1.conditions import SearchBudget
 from sl1.generators import gen_gaussian_matrix
 from sl1.rng import RngSpec, Stream
 
-from oracles import cross_deviation_disjoint_max_k1, norm_deviation_on_angle_grid
+from oracles import (ascend_sphere_scalar, cross_deviation_disjoint_max_k1,
+                     norm_deviation_on_angle_grid)
 
 NU = math.sqrt(2.0 / math.pi)
 
@@ -125,6 +126,28 @@ class TestNormSearch:
         with pytest.raises(ValueError):
             conditions.estimate_norm_deviation(np.eye(3), 2, SearchBudget(), RngSpec(0))
 
+    @pytest.mark.parametrize("m,width,starts,steps", [(60, 6, 6, 40), (30, 4, 5, 80),
+                                                      (12, 2, 3, 60), (400, 2, 6, 0)])
+    def test_lane_ascent_matches_scalar_reference(self, m, width, starts, steps):
+        # The batched products round differently from one product per
+        # lane.  Near a kink of the objective a step shorter than 1e-8 can
+        # then be kept in one and rejected in the other, which moves that
+        # lane's count by one and its z by less than the step.
+        stream = Stream(RngSpec(m, width))
+        bsub = stream.normal(m * width).reshape(m, width)
+        z0 = np.repeat(stream.normal(width * starts).reshape(width, starts), 2, axis=1)
+        directions = np.tile([1.0, -1.0], starts)
+        z, vals, evals = conditions._ascend_lanes(bsub, NU, z0, directions, steps)
+        for lane in range(2 * starts):
+            ref_z, ref_val, ref_evals = ascend_sphere_scalar(
+                bsub, NU, z0[:, lane], directions[lane], steps)
+            assert vals[lane] == pytest.approx(ref_val, rel=1e-12, abs=0)
+            assert abs(int(evals[lane]) - ref_evals) <= 1
+            np.testing.assert_allclose(z[:, lane], ref_z, rtol=0, atol=1e-7)
+        if steps > 40:
+            # some lanes stop early, on their own
+            assert evals.min() <= steps and len(set(evals.tolist())) > 1
+
 
 class TestCrossSearch:
     def test_monotone_in_budget(self):
@@ -177,6 +200,26 @@ class TestCrossSearch:
         w = part.witness
         u, v = w.u_vector(n), w.v_vector(n)
         assert abs(conditions.sign_cross_deviation(phi, u, v) - part.value) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["sampled", "exhaustive"])
+    def test_golden_values(self, case):
+        # pinned output, witness supports included: how an ascent step
+        # is evaluated must not change a byte of it
+        if case == "sampled":
+            phi = gen_gaussian_matrix(30, 12, RngSpec(5))
+            part = conditions.estimate_cross_deviation(
+                phi, 2, SearchBudget(num_pairs=30, exhaustive_cap=0), RngSpec(41))
+            expected = (0.5916915325569208, 6360, 30, {"disjoint": 13, "overlap": 17},
+                        [2, 6, 8, 9], [2, 8])
+        else:
+            phi = gen_gaussian_matrix(40, 6, RngSpec(17))
+            part = conditions.estimate_cross_deviation(phi, 1, SearchBudget(), RngSpec(18))
+            expected = (0.49344643195405047, 11640, 60, {"disjoint": 60, "overlap": 0},
+                        [2, 4], [0])
+        w = part.witness
+        assert (part.value, part.samples, part.visited, part.families,
+                w.u_indices, w.v_indices) == expected
+        assert part.exhaustive == (case == "exhaustive")
 
     def test_no_family_available_rejected(self):
         phi = gen_gaussian_matrix(5, 4, RngSpec(21))
@@ -231,7 +274,7 @@ class TestVerdict:
         phi = gen_gaussian_matrix(30, 12, RngSpec(5))
         budget = SearchBudget(num_supports=20, num_pairs=30, exhaustive_cap=0)
         est = conditions.estimate_conditions(phi, 2, budget, RngSpec(7))
-        assert est.norm_dev_lower == 0.3688902984807669
+        assert est.norm_dev_lower == 0.3688902984807671
         assert est.cross_dev_lower == 0.6686484543012963
         assert est.samples == 16203
         assert est.norm_part.visited == 20 and est.cross_part.visited == 30

@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -80,6 +83,14 @@ def test_json_round_trip_and_stable_bytes(tmp_path):
     matio.write_json(p2, {"a": [1, 2, 3], "b": 1.5})
     assert p1.read_bytes() == p2.read_bytes()
     assert matio.read_json(p1) == doc
+
+
+def test_json_writes_non_finite_floats_as_null():
+    text = matio.dump_json({"a": math.inf, "b": [math.nan, 1.5, -math.inf], "c": (2.0,)})
+    assert json.loads(text, parse_constant=lambda token: pytest.fail(token)) \
+        == {"a": None, "b": [None, 1.5, None], "c": [2.0]}
+    finite = {"x": [0.1, -2.5e-300, 1e300], "y": {"z": 3, "w": "s"}}
+    assert matio.dump_json(finite) == json.dumps(finite, indent=2, sort_keys=True) + "\n"
 
 
 def test_invalid_json_raises_format_error(tmp_path):

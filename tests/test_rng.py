@@ -5,6 +5,8 @@ import pytest
 
 from sl1.rng import RngSpec, Stream
 
+from oracles import box_muller_normals
+
 
 def test_identical_specs_reproduce():
     a = Stream(RngSpec(123, 5))
@@ -12,6 +14,16 @@ def test_identical_specs_reproduce():
     assert np.array_equal(a.normal(100), b.normal(100))
     assert np.array_equal(a.uniform(50), b.uniform(50))
     assert a.integer_below(17) == b.integer_below(17)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 6, 17])
+def test_normal_matches_two_call_box_muller_bit_for_bit(n):
+    # two draws in a row also pin where the second one starts
+    spec = RngSpec(2024, 3)
+    stream = Stream(spec)
+    bitgen = np.random.Philox(key=np.array([spec.seed, spec.stream], dtype=np.uint64))
+    for _ in range(2):
+        assert stream.normal(n).tobytes() == box_muller_normals(bitgen, n).tobytes()
 
 
 def test_streams_differ():
