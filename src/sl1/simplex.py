@@ -8,8 +8,17 @@ with ``ValueError``.  An LP with nonnegative costs but a negative
 right-hand side can be solved through its dual, which meets this form;
 ``solver.solve_lp_exact`` does so.
 
-Dantzig pricing picks the entering column (most negative reduced
-cost); the ratio test picks the leaving row, breaking minimum-ratio ties
+The tableau is the compact (dictionary) one: it stores only the n
+nonbasic columns and the right-hand side, m x (n + 1), with a
+``nonbasic`` index array beside ``basis``.  The slack identity, and every
+basic column with it, is implicit.  A pivot is a Jordan exchange: the
+leaving variable takes over the entering variable's slot.  Its
+arithmetic is entry for entry that of a full-tableau pivot, so pivots
+and results are the same bytes as with the full [a | I | b] tableau.
+
+Dantzig pricing picks the entering variable (most negative reduced
+cost, exact ties going to the smallest variable index, not the slot);
+the ratio test picks the leaving row, breaking minimum-ratio ties
 toward the largest pivot element for stability.  There is no
 anti-cycling rule: the pivot cap is the only bound on the loop, so a
 solve that would cycle ends with ``pivot-limit``.  Intended for
@@ -37,20 +46,25 @@ class SimplexResult:
     duals: np.ndarray | None
 
 
-def _pivot(tableau, cost, basis, row, col):
-    tableau[row] = tableau[row] / tableau[row, col]
+def _pivot(tableau, cost, basis, nonbasic, row, col):
+    """Jordan exchange: the variable basic in `row` leaves and takes over
+    slot `col` of the entering variable.  The arithmetic matches a full
+    tableau pivot entry for entry, where the leaving variable's column
+    is the unit vector e_row and the entering one becomes it."""
+    piv = tableau[row, col]
     factors = tableau[:, col].copy()
     factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row])
-    if cost[col] != 0.0:
-        cost -= cost[col] * tableau[row]
     tableau[:, col] = 0.0
     tableau[row, col] = 1.0
+    tableau[row] /= piv
+    tableau -= np.outer(factors, tableau[row])
+    entering = cost[col]
     cost[col] = 0.0
-    basis[row] = col
+    cost -= entering * tableau[row]
+    basis[row], nonbasic[col] = nonbasic[col], basis[row]
 
 
-def _iterate(tableau, cost, basis, max_pivots):
+def _iterate(tableau, cost, basis, nonbasic, max_pivots):
     """Pivot until optimal/unbounded/limit."""
     pivots = 0
     while True:
@@ -59,7 +73,9 @@ def _iterate(tableau, cost, basis, max_pivots):
             return OPTIMAL, pivots
         if pivots >= max_pivots:
             return PIVOT_LIMIT, pivots
-        enter = int(negative[np.argmin(cost[negative])])
+        values = cost[negative]
+        tied = negative[values == values.min()]
+        enter = int(tied[np.argmin(nonbasic[tied])])
         col = tableau[:, enter]
         positive = col > TOL
         if not positive.any():
@@ -69,7 +85,7 @@ def _iterate(tableau, cost, basis, max_pivots):
         best = ratios.min()
         ties = np.nonzero(ratios <= best + 1e-9 * (1.0 + abs(best)))[0]
         leave = int(ties[np.argmax(col[ties])])
-        _pivot(tableau, cost, basis, leave, enter)
+        _pivot(tableau, cost, basis, nonbasic, leave, enter)
         pivots += 1
 
 
@@ -88,15 +104,23 @@ def solve_canonical(c, a, b, max_pivots: int = 100_000) -> SimplexResult:
         raise ValueError("right-hand side must be nonnegative (the origin must be feasible)")
 
     # Start from the slack basis at the origin; its reduced costs are c.
-    tableau = np.hstack([a, np.eye(m), b[:, None]])
-    cost = np.concatenate([c, np.zeros(m + 1)])
+    # Variables n..n+m-1 are the slacks.  The tableau is built row-major
+    # whatever the layout of `a`, since every pivot updates it by rows.
+    tableau = np.empty((m, n + 1))
+    tableau[:, :n] = a
+    tableau[:, n] = b
+    cost = np.concatenate([c, [0.0]])
     basis = np.arange(n, n + m, dtype=np.int64)
-    status, pivots = _iterate(tableau, cost, basis, max_pivots)
+    nonbasic = np.arange(n, dtype=np.int64)
+    status, pivots = _iterate(tableau, cost, basis, nonbasic, max_pivots)
     if status == UNBOUNDED:
         return SimplexResult(UNBOUNDED, None, None, pivots, None)
 
     full = np.zeros(n + m)
     full[basis] = tableau[:, -1]
     x = full[:n]
-    # Dual of row i is minus the reduced cost of its slack column.
-    return SimplexResult(status, x, float(c @ x), pivots, -cost[n:n + m])
+    # Dual of row i is minus the reduced cost of its slack; a basic
+    # slack's reduced cost is zero.
+    reduced = np.zeros(n + m)
+    reduced[nonbasic] = cost[:-1]
+    return SimplexResult(status, x, float(c @ x), pivots, -reduced[n:])

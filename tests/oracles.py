@@ -150,3 +150,54 @@ def ascend_sphere_scalar(bsub, nu, z0, direction, steps):
             if eta < 1e-9:
                 break
     return z, abs(val), evals
+
+
+def simplex_full_tableau(c, a, b, max_pivots=100_000, tol=1e-9):
+    """Dense one-phase simplex on the full tableau [a | I | b], slack
+    basis at the origin (b >= 0), Dantzig pricing with exact ties to the
+    smallest variable index, minimum-ratio ties (within 1e-9) to the
+    largest pivot element.  Every column, the slack identity included,
+    is updated at every pivot.
+    Returns (status, x, objective, pivots, duals); x, objective and duals
+    are None when unbounded."""
+    c = np.asarray(c, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    m, n = a.shape
+    tableau = np.hstack([a, np.eye(m), b[:, None]])
+    cost = np.concatenate([c, np.zeros(m + 1)])
+    basis = np.arange(n, n + m, dtype=np.int64)
+    pivots = 0
+    while True:
+        negative = np.nonzero(cost[:-1] < -tol)[0]
+        if negative.size == 0:
+            status = "optimal"
+            break
+        if pivots >= max_pivots:
+            status = "pivot-limit"
+            break
+        enter = int(negative[np.argmin(cost[negative])])
+        col = tableau[:, enter]
+        positive = col > tol
+        if not positive.any():
+            return "unbounded", None, None, pivots, None
+        ratios = np.full(m, np.inf)
+        ratios[positive] = tableau[positive, -1] / col[positive]
+        best = ratios.min()
+        ties = np.nonzero(ratios <= best + 1e-9 * (1.0 + abs(best)))[0]
+        row = int(ties[np.argmax(col[ties])])
+        tableau[row] = tableau[row] / tableau[row, enter]
+        factors = tableau[:, enter].copy()
+        factors[row] = 0.0
+        tableau -= np.outer(factors, tableau[row])
+        if cost[enter] != 0.0:
+            cost -= cost[enter] * tableau[row]
+        tableau[:, enter] = 0.0
+        tableau[row, enter] = 1.0
+        cost[enter] = 0.0
+        basis[row] = enter
+        pivots += 1
+    full = np.zeros(n + m)
+    full[basis] = tableau[:, -1]
+    x = full[:n]
+    return status, x, float(c @ x), pivots, -cost[n:n + m]

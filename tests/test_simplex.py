@@ -3,10 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from sl1 import simplex
+from sl1 import simplex, solver
+from sl1.generators import make_instance
 from sl1.rng import RngSpec, Stream
 
-from oracles import lp_min_by_vertex_enumeration
+from oracles import lp_min_by_vertex_enumeration, simplex_full_tableau
 
 
 def test_textbook_maximization_as_min():
@@ -101,3 +102,101 @@ def test_pivot_limit_status():
 def test_rejects_bad_shapes():
     with pytest.raises(ValueError):
         simplex.solve_canonical([1.0, 2.0], [[1.0]], [1.0])
+
+
+def _dual_lp(inst):
+    """The LP that solver.solve_lp_exact hands to the simplex."""
+    lp = solver.lp_formulate(inst.phi, inst.y, inst.epsilon)
+    return lp.b_ub, -lp.a_ub.T, lp.c
+
+
+def _exact_grid_lps():
+    # the 40 trials of the 128x64, k = s = 4 grid at seed 14142
+    return [_dual_lp(make_instance(128, 64, 4, {"kind": "sparse", "s": 4, "scale": 1.0},
+                                   {"kind": "sparse", "amplitude": "gaussian"},
+                                   RngSpec(14142).child(0).child(trial)))
+            for trial in range(40)]
+
+
+def _criterion_1_lps(count):
+    # the first `count` instances of the criterion-1 set
+    lps = []
+    for i in range(count):
+        st = Stream(RngSpec(31415, i))
+        n = 5 + st.integer_below(36)
+        m = 5 + st.integer_below(36)
+        k = 1 + st.integer_below(min(5, n))
+        s = 1 + st.integer_below(max(1, m // 4))
+        lps.append(_dual_lp(make_instance(n, m, k, {"kind": "sparse", "s": s, "scale": 1.0},
+                                          {"kind": "sparse", "amplitude": "gaussian"},
+                                          RngSpec(27182, i))))
+    return lps
+
+
+def _bytes(value):
+    return None if value is None else np.asarray(value, dtype=np.float64).tobytes()
+
+
+def _assert_same_as_full_tableau(c, a, b, **kwargs):
+    res = simplex.solve_canonical(c, a, b, **kwargs)
+    status, x, objective, pivots, duals = simplex_full_tableau(c, a, b, **kwargs)
+    assert (res.status, res.pivots) == (status, pivots)
+    assert _bytes(res.x) == _bytes(x)
+    assert _bytes(res.duals) == _bytes(duals)
+    assert _bytes(res.objective) == _bytes(objective)
+    return res
+
+
+class TestSameAsFullTableau:
+    """The compact tableau keeps every floating-point operation of a
+    full-tableau pivot, so status, pivot count and result bytes agree."""
+
+    def test_exact_grid_lps(self):
+        pivots = [_assert_same_as_full_tableau(*lp).pivots for lp in _exact_grid_lps()]
+        assert sum(pivots) == 2489 and max(pivots) == 117
+
+    def test_criterion_1_lps(self):
+        for lp in _criterion_1_lps(20):
+            assert _assert_same_as_full_tableau(*lp).status == simplex.OPTIMAL
+
+    def test_capped_solve(self):
+        res = _assert_same_as_full_tableau(*_exact_grid_lps()[0], max_pivots=5)
+        assert (res.status, res.pivots) == (simplex.PIVOT_LIMIT, 5)
+
+    def test_unbounded_lp(self):
+        # a tall phi whose residual ball cannot reach y: the dual is
+        # unbounded, after some pivots
+        st = Stream(RngSpec(303))
+        phi = st.normal(12 * 4).reshape(12, 4)
+        y = st.normal(12)
+        lp = solver.lp_formulate(phi, y, 0.1)
+        res = _assert_same_as_full_tableau(lp.b_ub, -lp.a_ub.T, lp.c)
+        assert res.status == simplex.UNBOUNDED and res.pivots > 0
+
+    def test_beale_lp_under_every_column_order(self):
+        c = np.array([-0.75, 150.0, -0.02, 6.0])
+        a = np.array([[0.25, -60.0, -0.04, 9.0],
+                      [0.5, -90.0, -0.02, 3.0],
+                      [0.0, 0.0, 1.0, 0.0]])
+        b = np.array([0.0, 0.0, 1.0])
+        for perm in itertools.permutations(range(4)):
+            perm = list(perm)
+            _assert_same_as_full_tableau(c[perm], a[:, perm], b)
+
+
+class TestEmptyDimensions:
+    def test_zero_columns_is_optimal_at_the_origin(self):
+        res = _assert_same_as_full_tableau([], np.zeros((2, 0)), [1.0, 1.0])
+        assert res.status == simplex.OPTIMAL
+        assert res.x.shape == (0,) and res.objective == 0.0
+        # both slacks stay basic: duals are -0.0
+        assert _bytes(res.duals) == _bytes([-0.0, -0.0])
+
+    def test_zero_rows_negative_cost_is_unbounded(self):
+        res = _assert_same_as_full_tableau([-1.0], np.zeros((0, 1)), [])
+        assert res.status == simplex.UNBOUNDED
+
+    def test_zero_rows_nonnegative_cost_is_optimal(self):
+        res = _assert_same_as_full_tableau([1.0], np.zeros((0, 1)), [])
+        assert res.status == simplex.OPTIMAL
+        assert _bytes(res.x) == _bytes([0.0]) and res.duals.shape == (0,)
