@@ -15,7 +15,7 @@ that depend on estimated deviation constants.
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import product
 
 import numpy as np
@@ -111,7 +111,8 @@ def _row(name, lhs, rhs, conditional, note=""):
 
 
 def trace_recovery(instance: SparseInstance, result: SolverResult,
-                   estimate: ConditionEstimate, feasibility_tol: float = 1e-8) -> RecoveryTrace:
+                   estimate: ConditionEstimate,
+                   feasibility_tol: float = SolverConfig.feasibility_tol) -> RecoveryTrace:
     """Evaluate the full inequality chain on one solved instance.
 
     Requires a feasible solution.  Unconditional rows must hold for any
@@ -222,8 +223,46 @@ class TrialRecord:
         ])
 
 
+@dataclass(frozen=True)
+class GridSpec:
+    """Experiment grid over measurement count, sparsity and corruption.
+
+    Its fields, the solver's flattened in, are the grid's config keys."""
+
+    n: int
+    m_values: tuple
+    k_values: tuple
+    s_values: tuple
+    trials: int = 10
+    seed: int = 0
+    stream: int = 0
+    amplitude: str | list = "gaussian"   # a law name or ["uniform", a, b]
+    spike_scale: float = 1.0
+    solver: SolverConfig = field(default_factory=SolverConfig)
+
+    def __post_init__(self):
+        if self.trials < 0:
+            raise ValueError(f"trials must be nonnegative, got {self.trials}")
+
+    def cells(self) -> list:
+        return list(product(self.m_values, self.k_values, self.s_values))
+
+    def as_dict(self) -> dict:
+        d = asdict(self)
+        d.update(d.pop("solver"))
+        return d
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "GridSpec":
+        """Inverse of as_dict; absent keys take their defaults."""
+        def pick(c):
+            return {f.name: d[f.name] for f in fields(c) if f.name in d}
+        lists = {key: tuple(d[key]) for key in ("m_values", "k_values", "s_values")}
+        return cls(**{**pick(cls), **lists, "solver": SolverConfig(**pick(SolverConfig))})
+
+
 def run_trial(n: int, m: int, k: int, s: int, rng: RngSpec, *,
-              amplitude="gaussian", spike_scale: float = 1.0,
+              amplitude=GridSpec.amplitude, spike_scale: float = GridSpec.spike_scale,
               config: SolverConfig = None) -> TrialRecord:
     """Generate one instance, solve it, compare the error to the bound.
 
@@ -257,59 +296,6 @@ def run_trial(n: int, m: int, k: int, s: int, rng: RngSpec, *,
         bound_holds=bool(exact or err <= bound),
         iters=iters, runtime_ms=runtime_ms, exact=exact,
     )
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Experiment grid over measurement count, sparsity and corruption."""
-
-    n: int
-    m_values: tuple
-    k_values: tuple
-    s_values: tuple
-    trials: int
-    seed: int
-    stream: int = 0
-    amplitude: str = "gaussian"
-    spike_scale: float = 1.0
-    method: str = "first-order"
-    feasibility_tol: float = 1e-8
-    objective_tol: float = 1e-7
-    max_iters: int = 50_000
-
-    def __post_init__(self):
-        if self.trials < 0:
-            raise ValueError(f"trials must be nonnegative, got {self.trials}")
-
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(method=self.method, feasibility_tol=self.feasibility_tol,
-                            objective_tol=self.objective_tol, max_iters=self.max_iters)
-
-    def cells(self) -> list:
-        return list(product(self.m_values, self.k_values, self.s_values))
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n, "m_values": list(self.m_values), "k_values": list(self.k_values),
-            "s_values": list(self.s_values), "trials": self.trials, "seed": self.seed,
-            "stream": self.stream, "amplitude": self.amplitude,
-            "spike_scale": self.spike_scale, "method": self.method,
-            "feasibility_tol": self.feasibility_tol, "objective_tol": self.objective_tol,
-            "max_iters": self.max_iters,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GridSpec":
-        return cls(
-            n=int(d["n"]), m_values=tuple(d["m_values"]), k_values=tuple(d["k_values"]),
-            s_values=tuple(d["s_values"]), trials=int(d["trials"]), seed=int(d["seed"]),
-            stream=int(d.get("stream", 0)), amplitude=d.get("amplitude", "gaussian"),
-            spike_scale=float(d.get("spike_scale", 1.0)),
-            method=d.get("method", "first-order"),
-            feasibility_tol=float(d.get("feasibility_tol", 1e-8)),
-            objective_tol=float(d.get("objective_tol", 1e-7)),
-            max_iters=int(d.get("max_iters", 50_000)),
-        )
 
 
 @dataclass
@@ -353,10 +339,9 @@ def run_grid(spec: GridSpec) -> GridResult:
     """Run every (m, k, s) cell for the configured number of trials, in
     (cell, trial) order; each trial owns a disjoint sub-stream."""
     base = RngSpec(spec.seed, spec.stream)
-    config = spec.solver_config()
     records = [run_trial(spec.n, m, k, s, base.child(ci).child(t),
                          amplitude=spec.amplitude, spike_scale=spec.spike_scale,
-                         config=config)
+                         config=spec.solver)
                for ci, (m, k, s) in enumerate(spec.cells())
                for t in range(spec.trials)]
     return GridResult(spec=spec, records=records)

@@ -3,8 +3,12 @@ solving, condition estimation, inequality tracing and trial grids.
 
 Every command accepts --config <json> plus flag overrides (flags win),
 and every output embeds the fully resolved configuration, so any run
-can be replayed from its own output.  Exit codes: 0 success, 2 invalid
-arguments, 3 I/O or format errors, 4 solver non-convergence.
+can be replayed from its own output.  The solver settings, the search
+budget and the grid settings are the fields of SolverConfig,
+SearchBudget and GridSpec: each field's name is its config key and
+flag, and its default and type are the command's.  Exit codes: 0
+success, 2 invalid arguments (a config value of the wrong type
+included), 3 I/O or format errors, 4 solver non-convergence.
 """
 
 import argparse
@@ -18,7 +22,7 @@ from .conditions import SearchBudget, condition_verdict, estimate_conditions
 from .generators import load_bundle, make_instance, save_bundle
 from .matio import FormatError
 from .rng import RngSpec
-from .solver import METHOD_FIRST_ORDER, METHOD_LP, SolverConfig, solve
+from .solver import METHODS, SolverConfig, solve
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -47,6 +51,9 @@ def _resolve(args, keys: dict) -> dict:
             resolved[key] = config[key]
         else:
             resolved[key] = default
+    for key in ("bundle", "matrix", "out"):
+        if resolved.get(key) is not None:
+            _coerce(key, resolved[key], str)
     return resolved
 
 
@@ -56,6 +63,54 @@ def _require(resolved: dict, *keys):
             raise ValueError(f"missing required parameter: {key}")
 
 
+def _integer(value) -> int:
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(value)
+    return int(value)
+
+
+_KINDS = {int: "an integer", float: "a number", tuple: "a list of integers", str: "a string"}
+
+
+def _coerce(key: str, value, kind):
+    """value as an int, float, tuple of ints ("1,2" or a list) or str.
+    Numeric strings and integral floats convert; any other value of the
+    wrong type raises a ValueError that names the key.  A value of
+    another kind (the grid's amplitude law) passes through."""
+    try:
+        if kind is int:
+            return _integer(value)
+        if kind is float:
+            return float(value)
+        if kind is tuple:
+            items = [t for t in value.split(",") if t.strip()] if isinstance(value, str) else value
+            return tuple(_integer(v) for v in items)
+        if kind is str and not isinstance(value, str):
+            raise TypeError(value)
+        return value
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{key} must be {_KINDS[kind]}, got {value!r}") from None
+
+
+def _fields(*classes) -> list:
+    """The fields of the classes, a nested dataclass's fields in its place."""
+    return [g for cls in classes for f in dataclasses.fields(cls)
+            for g in (_fields(f.type) if dataclasses.is_dataclass(f.type) else [f])]
+
+
+def _keys(cls) -> dict:
+    """Config keys and defaults of the settings of cls (None: required)."""
+    return {f.name: None if f.default is dataclasses.MISSING else f.default
+            for f in _fields(cls)}
+
+
+def _build(cls, resolved: dict):
+    """cls from the resolved config, each field's value coerced to its type."""
+    return cls(**{f.name: _build(f.type, resolved) if dataclasses.is_dataclass(f.type)
+                  else _coerce(f.name, resolved[f.name], f.type)
+                  for f in dataclasses.fields(cls)})
+
+
 def _parse_amplitude(value):
     """Normalise the uniform amplitude law, given as "uniform:a:b" or as
     a ["uniform", a, b] list, to the list form; other values pass through
@@ -63,47 +118,18 @@ def _parse_amplitude(value):
     if isinstance(value, str) and value.startswith("uniform:"):
         value = ["uniform", *value.split(":")[1:]]
     if isinstance(value, (list, tuple)) and len(value) == 3 and value[0] == "uniform":
-        return ["uniform", float(value[1]), float(value[2])]
+        return ["uniform", *(_coerce("amplitude", v, float) for v in value[1:])]
     return value
 
 
-def _parse_int_list(value):
-    if isinstance(value, str):
-        return tuple(int(tok) for tok in value.split(",") if tok.strip())
-    return tuple(int(v) for v in value)
-
-
-def _solver_config(resolved: dict) -> SolverConfig:
-    return SolverConfig(
-        method=resolved["method"],
-        feasibility_tol=float(resolved["feasibility_tol"]),
-        objective_tol=float(resolved["objective_tol"]),
-        max_iters=int(resolved["max_iters"]),
-    )
-
-
-def _budget(resolved: dict) -> SearchBudget:
-    return SearchBudget(
-        num_supports=int(resolved["supports"]),
-        num_pairs=int(resolved["pairs"]),
-        starts=int(resolved["starts"]),
-        steps=int(resolved["steps"]),
-        exhaustive_cap=int(resolved["exhaustive_cap"]),
-        overlap_share=float(resolved["overlap_share"]),
-    )
-
-
-# Settings shared by several commands, each declared once.
-_SOLVER_KEYS = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
-_SEARCH_KEYS = {
-    "seed": 0, "stream": 0,
-    "supports": 64, "pairs": 128, "starts": 6, "steps": 40,
-    "exhaustive_cap": 10_000, "overlap_share": 0.5,
-}
+# Settings shared by several commands, each declared once: the random
+# stream's keys here, the solver's and the searches' as dataclass fields.
+_RNG_KEYS = {"seed": 0, "stream": 0}
+_SOLVER_KEYS = _keys(SolverConfig)
+_SEARCH_KEYS = {**_RNG_KEYS, **_keys(SearchBudget)}
 
 _GEN_KEYS = {
-    "out": None, "n": None, "m": None, "k": None,
-    "seed": 0, "stream": 0,
+    "out": None, "n": None, "m": None, "k": None, **_RNG_KEYS,
     "signal": "sparse", "amplitude": "unit", "p": 1.0,
     "noise": "none", "s": 1, "epsilon": None, "scale": 1.0, "quantile": 0.99,
 }
@@ -116,24 +142,24 @@ def cmd_gen(args) -> int:
     if resolved["signal"] == "sparse":
         signal_spec = {"kind": "sparse", "amplitude": resolved["amplitude"]}
     else:
-        signal_spec = {"kind": "compressible", "p": float(resolved["p"])}
+        signal_spec = {"kind": "compressible", "p": _coerce("p", resolved["p"], float)}
     kind = resolved["noise"]
     if kind == "none":
         noise_spec = {"kind": "none"}
     elif kind == "sparse":
-        noise_spec = {"kind": "sparse", "s": int(resolved["s"])}
+        noise_spec = {"kind": "sparse", "s": _coerce("s", resolved["s"], int)}
         if resolved["epsilon"] is not None:
-            noise_spec["epsilon"] = float(resolved["epsilon"])
+            noise_spec["epsilon"] = _coerce("epsilon", resolved["epsilon"], float)
         else:
-            noise_spec["scale"] = float(resolved["scale"])
+            noise_spec["scale"] = _coerce("scale", resolved["scale"], float)
     elif kind == "laplacian":
-        noise_spec = {"kind": "laplacian", "quantile": float(resolved["quantile"])}
+        noise_spec = {"kind": "laplacian",
+                      "quantile": _coerce("quantile", resolved["quantile"], float)}
     else:
         raise ValueError(f"unknown noise kind {kind!r}")
 
-    rng = RngSpec(int(resolved["seed"]), int(resolved["stream"]))
-    instance = make_instance(int(resolved["n"]), int(resolved["m"]), int(resolved["k"]),
-                             noise_spec, signal_spec, rng)
+    n, m, k = (_coerce(key, resolved[key], int) for key in ("n", "m", "k"))
+    instance = make_instance(n, m, k, noise_spec, signal_spec, _build(RngSpec, resolved))
     save_bundle(resolved["out"], instance, extra_meta={"config": resolved})
     print(f"wrote instance bundle to {resolved['out']}")
     return EXIT_OK
@@ -146,7 +172,7 @@ def cmd_solve(args) -> int:
     resolved = _resolve(args, _SOLVE_KEYS)
     _require(resolved, "bundle", "out")
     instance = load_bundle(resolved["bundle"])
-    result = solve(instance.phi, instance.y, instance.epsilon, _solver_config(resolved))
+    result = solve(instance.phi, instance.y, instance.epsilon, _build(SolverConfig, resolved))
     doc = {"config": resolved}
     doc.update(result.to_json_dict())
     matio.write_json(resolved["out"], doc)
@@ -171,8 +197,8 @@ def cmd_conditions(args) -> int:
     else:
         raise ValueError("missing required parameter: bundle or matrix")
     _require(resolved, "k")
-    rng = RngSpec(int(resolved["seed"]), int(resolved["stream"]))
-    estimate = estimate_conditions(phi, int(resolved["k"]), _budget(resolved), rng)
+    estimate = estimate_conditions(phi, _coerce("k", resolved["k"], int),
+                                   _build(SearchBudget, resolved), _build(RngSpec, resolved))
     doc = {"config": resolved, "verdict": condition_verdict(estimate),
            "estimate": estimate.as_dict()}
     matio.write_json(resolved["out"], doc)
@@ -188,15 +214,14 @@ def cmd_trace(args) -> int:
     resolved = _resolve(args, _TRACE_KEYS)
     _require(resolved, "bundle", "out")
     instance = load_bundle(resolved["bundle"])
-    result = solve(instance.phi, instance.y, instance.epsilon, _solver_config(resolved))
+    config, budget, rng = (_build(cls, resolved) for cls in (SolverConfig, SearchBudget, RngSpec))
+    result = solve(instance.phi, instance.y, instance.epsilon, config)
     if not result.is_usable():
         print(f"solver did not converge (status={result.status}); no trace written",
               file=sys.stderr)
         return EXIT_SOLVER
-    rng = RngSpec(int(resolved["seed"]), int(resolved["stream"]))
-    estimate = estimate_conditions(instance.phi, instance.k, _budget(resolved), rng)
-    trace = trace_recovery(instance, result, estimate,
-                           feasibility_tol=float(resolved["feasibility_tol"]))
+    estimate = estimate_conditions(instance.phi, instance.k, budget, rng)
+    trace = trace_recovery(instance, result, estimate, feasibility_tol=config.feasibility_tol)
     doc = {"config": resolved,
            "solver": {"objective": result.objective, "residual_l1": result.residual_l1,
                       "status": result.status, "iters": result.iters},
@@ -208,20 +233,14 @@ def cmd_trace(args) -> int:
     return EXIT_OK
 
 
-_GRID_KEYS = {
-    "out": None, "n": None, "m_values": None, "k_values": None, "s_values": None,
-    "trials": 10, "seed": 0, "stream": 0, "amplitude": "gaussian", "spike_scale": 1.0,
-    **_SOLVER_KEYS,
-}
+_GRID_KEYS = {"out": None, **_keys(GridSpec)}
 
 
 def cmd_grid(args) -> int:
     resolved = _resolve(args, _GRID_KEYS)
     _require(resolved, "out", "n", "m_values", "k_values", "s_values")
-    for key in ("m_values", "k_values", "s_values"):
-        resolved[key] = list(_parse_int_list(resolved[key]))
     resolved["amplitude"] = _parse_amplitude(resolved["amplitude"])
-    spec = GridSpec.from_dict(resolved)
+    spec = _build(GridSpec, resolved)
     result = run_grid(spec)
     os.makedirs(resolved["out"], exist_ok=True)
     matio.atomic_write_text(os.path.join(resolved["out"], "trials.csv"), result.trials_csv())
@@ -233,16 +252,12 @@ def cmd_grid(args) -> int:
     return EXIT_OK
 
 
-def _add_solver_flags(cmd):
-    cmd.add_argument("--method", choices=(METHOD_LP, METHOD_FIRST_ORDER))
-    cmd.add_argument("--feasibility-tol", dest="feasibility_tol", type=float)
-    cmd.add_argument("--objective-tol", dest="objective_tol", type=float)
-    cmd.add_argument("--max-iters", dest="max_iters", type=int)
-
-
-def _add_search_flags(cmd):
-    for key, default in _SEARCH_KEYS.items():
-        cmd.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default))
+def _add_flags(cmd, *classes):
+    """One flag per setting of the classes, typed as its field."""
+    for f in _fields(*classes):
+        cmd.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                         type=f.type if f.type in (int, float) else None,
+                         choices=METHODS if f.name == "method" else None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--config")
     slv.add_argument("--bundle")
     slv.add_argument("--out")
-    _add_solver_flags(slv)
+    _add_flags(slv, SolverConfig)
     slv.set_defaults(func=cmd_solve)
 
     cond = sub.add_parser("conditions", help="estimate deviation constants")
@@ -283,30 +298,20 @@ def build_parser() -> argparse.ArgumentParser:
     cond.add_argument("--matrix")
     cond.add_argument("--out")
     cond.add_argument("--k", type=int)
-    _add_search_flags(cond)
+    _add_flags(cond, RngSpec, SearchBudget)
     cond.set_defaults(func=cmd_conditions)
 
     trc = sub.add_parser("trace", help="solve a bundle and trace the bound inequalities")
     trc.add_argument("--config")
     trc.add_argument("--bundle")
     trc.add_argument("--out")
-    _add_solver_flags(trc)
-    _add_search_flags(trc)
+    _add_flags(trc, SolverConfig, RngSpec, SearchBudget)
     trc.set_defaults(func=cmd_trace)
 
     grd = sub.add_parser("grid", help="run a trial grid")
     grd.add_argument("--config")
     grd.add_argument("--out")
-    grd.add_argument("--n", type=int)
-    grd.add_argument("--m-values", dest="m_values")
-    grd.add_argument("--k-values", dest="k_values")
-    grd.add_argument("--s-values", dest="s_values")
-    grd.add_argument("--trials", type=int)
-    grd.add_argument("--seed", type=int)
-    grd.add_argument("--stream", type=int)
-    grd.add_argument("--amplitude")
-    grd.add_argument("--spike-scale", dest="spike_scale", type=float)
-    _add_solver_flags(grd)
+    _add_flags(grd, GridSpec)
     grd.set_defaults(func=cmd_grid)
 
     return parser

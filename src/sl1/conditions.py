@@ -82,23 +82,22 @@ def sign_cross_deviation(phi, u, v) -> float:
 class SearchBudget:
     """Effort knobs for the worst-case deviation searches."""
 
-    num_supports: int = 64        # sampled mode: supports tried for the norm bound
-    num_pairs: int = 128          # sampled mode: support pairs tried for the cross bound
+    supports: int = 64            # sampled mode: supports tried for the norm bound
+    pairs: int = 128              # sampled mode: support pairs tried for the cross bound
     starts: int = 6               # random restarts per support / pair
     steps: int = 40               # ascent steps per restart
     exhaustive_cap: int = 10_000  # enumerate supports when the count fits
     overlap_share: float = 0.5    # fraction of sampled pairs with overlapping supports
 
     def __post_init__(self):
-        counts = (self.num_supports, self.num_pairs, self.starts, self.steps,
-                  self.exhaustive_cap)
+        counts = (self.supports, self.pairs, self.starts, self.steps, self.exhaustive_cap)
         if min(counts) < 0:
             raise ValueError("search budget counts must be nonnegative")
         if not 0.0 <= self.overlap_share <= 1.0:
             raise ValueError(f"overlap_share must lie in [0, 1], got {self.overlap_share}")
 
     def engaged(self) -> bool:
-        return self.starts >= 1 and (self.num_supports >= 1 or self.num_pairs >= 1)
+        return self.starts >= 1 and (self.supports >= 1 or self.pairs >= 1)
 
 
 @dataclass
@@ -216,7 +215,7 @@ def estimate_norm_deviation(phi, k: int, budget: SearchBudget, rng: RngSpec) -> 
     nu = half_normal_mean()
     width = 2 * k
     total = math.comb(n, width)
-    engaged = budget.starts >= 1 and budget.num_supports >= 1
+    engaged = budget.starts >= 1 and budget.supports >= 1
     exhaustive = engaged and total <= budget.exhaustive_cap
 
     if not engaged:
@@ -227,7 +226,7 @@ def estimate_norm_deviation(phi, k: int, budget: SearchBudget, rng: RngSpec) -> 
         supports = (np.asarray(sup, dtype=np.int64)
                     for sup in itertools.combinations(range(n), width))
     else:
-        supports = (stream.subset(n, width) for _ in range(budget.num_supports))
+        supports = (stream.subset(n, width) for _ in range(budget.supports))
 
     # lane 2j climbs up from start j, lane 2j + 1 down from it
     directions = np.tile([1.0, -1.0], budget.starts)
@@ -323,7 +322,7 @@ def estimate_cross_deviation(phi, k: int, budget: SearchBudget, rng: RngSpec) ->
             f"no orthogonal pair family available: 3k = {3 * k} exceeds n = {n} "
             "and overlapping pairs are disabled")
     total = math.comb(n, 2 * k) * math.comb(n - 2 * k, k) if disjoint_ok else None
-    engaged = budget.starts >= 1 and budget.num_pairs >= 1
+    engaged = budget.starts >= 1 and budget.pairs >= 1
     exhaustive = (engaged and disjoint_ok and total is not None
                   and total <= budget.exhaustive_cap)
     families = {"disjoint": 0, "overlap": 0}
@@ -342,7 +341,7 @@ def estimate_cross_deviation(phi, k: int, budget: SearchBudget, rng: RngSpec) ->
                     families["disjoint"] += 1
                     yield su, np.asarray(sv, dtype=np.int64)
         else:
-            for _ in range(budget.num_pairs):
+            for _ in range(budget.pairs):
                 su, sv, family = _sample_pair(stream, n, k, budget.overlap_share,
                                               disjoint_ok)
                 families[family] += 1

@@ -175,9 +175,7 @@ def _normalize_signal_spec(spec) -> dict:
     spec = dict(spec or {"kind": "sparse"})
     kind = spec.setdefault("kind", "sparse")
     if kind == "sparse":
-        amp = spec.setdefault("amplitude", "unit")
-        if isinstance(amp, list):
-            spec["amplitude"] = tuple(amp)
+        spec.setdefault("amplitude", "unit")
     elif kind == "compressible":
         if float(spec.get("p", 0)) <= 0:
             raise ValueError("compressible signal spec needs a decay exponent p > 0")
@@ -249,8 +247,7 @@ def make_instance(n: int, m: int, k: int, noise_spec, signal_spec, rng: RngSpec)
         "format_revision": FORMAT_REVISION,
         "sampler": SAMPLER_NAME,
         "rng": rng.as_dict(),
-        "signal": {key: list(val) if isinstance(val, tuple) else val
-                   for key, val in signal_spec.items()},
+        "signal": signal_spec,
         "noise": resolved_noise,
     }
     return SparseInstance(x=x, phi=phi, noise=noise, y=y, epsilon=float(epsilon), k=k, meta=meta)
@@ -258,10 +255,6 @@ def make_instance(n: int, m: int, k: int, noise_spec, signal_spec, rng: RngSpec)
 
 # On-disk instance bundle: a directory holding phi.bin (SL1M binary),
 # x.csv / n.csv / y.csv (vector CSVs) and meta.json.
-
-BUNDLE_FILES = ("phi.bin", "x.csv", "n.csv", "y.csv", "meta.json")
-
-
 def save_bundle(directory, instance: SparseInstance, extra_meta: dict = None) -> None:
     instance.validate()
     os.makedirs(directory, exist_ok=True)

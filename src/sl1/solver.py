@@ -23,6 +23,7 @@ from . import core, simplex
 
 METHOD_LP = "lp-exact"
 METHOD_FIRST_ORDER = "first-order"
+METHODS = (METHOD_LP, METHOD_FIRST_ORDER)
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible-detected"
@@ -46,7 +47,7 @@ class SolverConfig:
             raise ValueError("tolerances must be strictly positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.method not in (METHOD_LP, METHOD_FIRST_ORDER):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
 
 

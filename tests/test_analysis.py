@@ -182,7 +182,7 @@ class TestTrials:
 
     def test_solver_failure_recorded_not_raised(self):
         spec = analysis.GridSpec(n=10, m_values=(8,), k_values=(2,), s_values=(2,),
-                                 trials=2, seed=11, max_iters=2)
+                                 trials=2, seed=11, solver=SolverConfig(max_iters=2))
         result = analysis.run_grid(spec)
         assert all(r.status == "iteration-limit" for r in result.records)
         assert len(result.records) == 2
@@ -204,5 +204,5 @@ class TestTrials:
 
     def test_grid_spec_round_trip(self):
         spec = analysis.GridSpec(n=8, m_values=(10, 12), k_values=(1,), s_values=(0,),
-                                 trials=2, seed=3, method="lp-exact")
+                                 trials=2, seed=3, solver=SolverConfig(method="lp-exact"))
         assert analysis.GridSpec.from_dict(spec.as_dict()) == spec

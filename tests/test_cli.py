@@ -337,3 +337,63 @@ class TestGrid:
         assert main(["grid", "--out", str(tmp_path / "g2"), "--n", "6",
                      "--m-values", "abc", "--k-values", "1", "--s-values", "0",
                      "--trials", "1", "--seed", "0"]) == 2
+
+
+_SOLVER_ECHO = {"feasibility_tol": 1e-08, "max_iters": 50000, "method": "first-order",
+                "objective_tol": 1e-07}
+_SEARCH_ECHO = {"exhaustive_cap": 10000, "overlap_share": 0.5, "pairs": 128, "seed": 0,
+                "starts": 6, "steps": 40, "stream": 0, "supports": 64}
+
+
+class TestConfig:
+    # Recorded before the solver, search and grid defaults moved out of
+    # the CLI into SolverConfig, SearchBudget and GridSpec.
+    ECHOES = {
+        "gen": {"amplitude": "unit", "epsilon": None, "k": 1, "m": 8, "n": 6, "noise": "none",
+                "p": 1.0, "quantile": 0.99, "s": 1, "scale": 1.0, "seed": 0,
+                "signal": "sparse", "stream": 0},
+        "solve": {"bundle": "BUNDLE", **_SOLVER_ECHO},
+        "conditions": {"bundle": "BUNDLE", "k": 1, "matrix": None, **_SEARCH_ECHO},
+        "trace": {"bundle": "BUNDLE", **_SOLVER_ECHO, **_SEARCH_ECHO},
+        "grid": {"amplitude": "gaussian", "k_values": [1], "m_values": [6], "n": 4,
+                 "s_values": [0], "seed": 0, "spike_scale": 1.0, "stream": 0, "trials": 10,
+                 **_SOLVER_ECHO},
+    }
+
+    @pytest.mark.parametrize("command", list(ECHOES))
+    def test_default_config_echo(self, tmp_path, command):
+        bundle, out = str(tmp_path / "bundle"), str(tmp_path / "out")
+        assert main(["gen", "--out", bundle, "--n", "6", "--m", "8", "--k", "1"]) == 0
+        flags = {"gen": ["--n", "6", "--m", "8", "--k", "1"],
+                 "grid": ["--n", "4", "--m-values", "6", "--k-values", "1", "--s-values", "0"]}
+        assert main([command, "--out", out,
+                     *flags.get(command, ["--bundle", bundle])]) == 0
+        written = {"gen": "meta.json", "grid": "summary.json"}.get(command)
+        config = matio.read_json(os.path.join(out, written) if written else out)["config"]
+        expected = {key: bundle if value == "BUNDLE" else value
+                    for key, value in self.ECHOES[command].items()}
+        expected["out"] = out
+        # the JSON text tells 1 from 1.0
+        assert json.dumps(config, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("gen", "k", [1]),
+        ("solve", "max_iters", None),
+        ("solve", "out", 5),
+        ("conditions", "supports", None),
+        ("trace", "steps", [40]),
+        ("grid", "m_values", 5),
+        ("grid", "trials", [1]),
+    ])
+    def test_config_value_of_wrong_type_exits_2(self, bundle, tmp_path, capsys,
+                                                 command, key, value):
+        base = {"gen": {"n": 6, "m": 8, "k": 1},
+                "grid": {"n": 4, "m_values": [6], "k_values": [1], "s_values": [0],
+                         "trials": 1}}.get(command, {"bundle": str(bundle)})
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**base, "out": str(tmp_path / "out"), key: value}))
+        before = _files(tmp_path)
+        capsys.readouterr()
+        assert main([command, "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} must be ")
+        assert _files(tmp_path) == before

@@ -71,14 +71,14 @@ class TestCrossDeviation:
 
 class TestSearchBudget:
     @pytest.mark.parametrize("field, value", [
-        ("num_supports", -5), ("num_pairs", -1), ("starts", -1), ("steps", -3),
+        ("supports", -5), ("pairs", -1), ("starts", -1), ("steps", -3),
         ("exhaustive_cap", -1), ("overlap_share", 1.5), ("overlap_share", -0.1)])
     def test_out_of_range_rejected(self, field, value):
         with pytest.raises(ValueError):
             SearchBudget(**{field: value})
 
     def test_zero_and_share_bounds_accepted(self):
-        budget = SearchBudget(num_supports=0, num_pairs=0, starts=0, steps=0,
+        budget = SearchBudget(supports=0, pairs=0, starts=0, steps=0,
                               exhaustive_cap=0, overlap_share=0.0)
         assert not budget.engaged()
         assert SearchBudget(overlap_share=1.0).overlap_share == 1.0
@@ -88,15 +88,15 @@ class TestNormSearch:
     def test_zero_budget_gives_zero_estimate(self):
         phi = gen_gaussian_matrix(10, 6, RngSpec(3))
         part = conditions.estimate_norm_deviation(
-            phi, 1, SearchBudget(num_supports=0), RngSpec(4))
+            phi, 1, SearchBudget(supports=0), RngSpec(4))
         assert part.value == 0.0 and part.samples == 0 and not part.exhaustive
 
     def test_monotone_in_budget(self):
         phi = gen_gaussian_matrix(30, 12, RngSpec(5))
         small = conditions.estimate_norm_deviation(
-            phi, 2, SearchBudget(num_supports=5, exhaustive_cap=0), RngSpec(6))
+            phi, 2, SearchBudget(supports=5, exhaustive_cap=0), RngSpec(6))
         large = conditions.estimate_norm_deviation(
-            phi, 2, SearchBudget(num_supports=20, exhaustive_cap=0), RngSpec(6))
+            phi, 2, SearchBudget(supports=20, exhaustive_cap=0), RngSpec(6))
         assert large.value >= small.value
 
     def test_witness_reevaluates_exactly(self):
@@ -153,15 +153,15 @@ class TestCrossSearch:
     def test_monotone_in_budget(self):
         phi = gen_gaussian_matrix(30, 10, RngSpec(13))
         small = conditions.estimate_cross_deviation(
-            phi, 2, SearchBudget(num_pairs=5, exhaustive_cap=0), RngSpec(14))
+            phi, 2, SearchBudget(pairs=5, exhaustive_cap=0), RngSpec(14))
         large = conditions.estimate_cross_deviation(
-            phi, 2, SearchBudget(num_pairs=20, exhaustive_cap=0), RngSpec(14))
+            phi, 2, SearchBudget(pairs=20, exhaustive_cap=0), RngSpec(14))
         assert large.value >= small.value
 
     def test_witness_is_orthogonal_and_reevaluates(self):
         phi = gen_gaussian_matrix(20, 9, RngSpec(15))
         part = conditions.estimate_cross_deviation(
-            phi, 2, SearchBudget(num_pairs=30), RngSpec(16))
+            phi, 2, SearchBudget(pairs=30), RngSpec(16))
         w = part.witness
         u, v = w.u_vector(9), w.v_vector(9)
         assert abs(float(u @ v)) <= 1e-12 * core.norm_lp(u, 2) * core.norm_lp(v, 2)
@@ -183,7 +183,7 @@ class TestCrossSearch:
     def test_families_recorded(self):
         phi = gen_gaussian_matrix(15, 8, RngSpec(19))
         part = conditions.estimate_cross_deviation(
-            phi, 2, SearchBudget(num_pairs=40, exhaustive_cap=0, overlap_share=0.5),
+            phi, 2, SearchBudget(pairs=40, exhaustive_cap=0, overlap_share=0.5),
             RngSpec(20))
         assert part.families["disjoint"] > 0
         assert part.families["overlap"] > 0
@@ -196,7 +196,7 @@ class TestCrossSearch:
         phi = gen_gaussian_matrix(m, n, RngSpec(23))
         budget = SearchBudget()
         part = conditions.estimate_cross_deviation(phi, k, budget, RngSpec(24))
-        assert part.families["overlap"] == budget.num_pairs
+        assert part.families["overlap"] == budget.pairs
         w = part.witness
         u, v = w.u_vector(n), w.v_vector(n)
         assert abs(conditions.sign_cross_deviation(phi, u, v) - part.value) <= 1e-12
@@ -208,7 +208,7 @@ class TestCrossSearch:
         if case == "sampled":
             phi = gen_gaussian_matrix(30, 12, RngSpec(5))
             part = conditions.estimate_cross_deviation(
-                phi, 2, SearchBudget(num_pairs=30, exhaustive_cap=0), RngSpec(41))
+                phi, 2, SearchBudget(pairs=30, exhaustive_cap=0), RngSpec(41))
             expected = (0.5916915325569208, 6360, 30, {"disjoint": 13, "overlap": 17},
                         [2, 6, 8, 9], [2, 8])
         else:
@@ -245,7 +245,7 @@ class TestVerdict:
         assert conditions.condition_verdict(self._estimate(0.2, 0.15, True)) == "violated"
 
     def test_small_matrix_is_violated_large_m_is_not(self):
-        budget = SearchBudget(num_supports=20, num_pairs=40)
+        budget = SearchBudget(supports=20, pairs=40)
         small_m = conditions.estimate_conditions(
             gen_gaussian_matrix(10, 6, RngSpec(23)), 1, budget, RngSpec(24))
         assert conditions.condition_verdict(small_m) == "violated"
@@ -272,7 +272,7 @@ class TestVerdict:
         # Supports, pairs and ascent starts are drawn in one fixed order
         # from one stream; these exact values pin that order.
         phi = gen_gaussian_matrix(30, 12, RngSpec(5))
-        budget = SearchBudget(num_supports=20, num_pairs=30, exhaustive_cap=0)
+        budget = SearchBudget(supports=20, pairs=30, exhaustive_cap=0)
         est = conditions.estimate_conditions(phi, 2, budget, RngSpec(7))
         assert est.norm_dev_lower == 0.3688902984807671
         assert est.cross_dev_lower == 0.6686484543012963
