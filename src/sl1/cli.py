@@ -19,7 +19,7 @@ import sys
 from . import matio
 from .analysis import GridSpec, run_grid, trace_recovery
 from .conditions import SearchBudget, condition_verdict, estimate_conditions
-from .generators import load_bundle, make_instance, save_bundle
+from .generators import NOISE_KINDS, SIGNAL_KINDS, load_bundle, make_instance, save_bundle
 from .matio import FormatError
 from .rng import RngSpec
 from .solver import METHODS, SolverConfig, solve
@@ -133,33 +133,22 @@ _GEN_KEYS = {
     "signal": "sparse", "amplitude": "unit", "p": 1.0,
     "noise": "none", "s": 1, "epsilon": None, "scale": 1.0, "quantile": 0.99,
 }
+_GEN_NUMBERS = {"n": int, "m": int, "k": int, "p": float,
+                "s": int, "epsilon": float, "scale": float, "quantile": float}
 
 
 def cmd_gen(args) -> int:
     resolved = _resolve(args, _GEN_KEYS)
     _require(resolved, "out", "n", "m", "k")
     resolved["amplitude"] = _parse_amplitude(resolved["amplitude"])
-    if resolved["signal"] == "sparse":
-        signal_spec = {"kind": "sparse", "amplitude": resolved["amplitude"]}
-    else:
-        signal_spec = {"kind": "compressible", "p": _coerce("p", resolved["p"], float)}
-    kind = resolved["noise"]
-    if kind == "none":
-        noise_spec = {"kind": "none"}
-    elif kind == "sparse":
-        noise_spec = {"kind": "sparse", "s": _coerce("s", resolved["s"], int)}
-        if resolved["epsilon"] is not None:
-            noise_spec["epsilon"] = _coerce("epsilon", resolved["epsilon"], float)
-        else:
-            noise_spec["scale"] = _coerce("scale", resolved["scale"], float)
-    elif kind == "laplacian":
-        noise_spec = {"kind": "laplacian",
-                      "quantile": _coerce("quantile", resolved["quantile"], float)}
-    else:
-        raise ValueError(f"unknown noise kind {kind!r}")
-
-    n, m, k = (_coerce(key, resolved[key], int) for key in ("n", "m", "k"))
-    instance = make_instance(n, m, k, noise_spec, signal_spec, _build(RngSpec, resolved))
+    # every number is coerced; only epsilon may stay unset (sparse noise then uses scale)
+    num = {key: None if key == "epsilon" and resolved[key] is None
+           else _coerce(key, resolved[key], kind) for key, kind in _GEN_NUMBERS.items()}
+    signal = {"kind": resolved["signal"], "amplitude": resolved["amplitude"], "p": num["p"]}
+    noise = {"kind": resolved["noise"], "s": num["s"], "epsilon": num["epsilon"],
+             "scale": num["scale"], "quantile": num["quantile"]}
+    instance = make_instance(num["n"], num["m"], num["k"], noise, signal,
+                             _build(RngSpec, resolved))
     save_bundle(resolved["out"], instance, extra_meta={"config": resolved})
     print(f"wrote instance bundle to {resolved['out']}")
     return EXIT_OK
@@ -276,10 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out")
     for flag in ("n", "m", "k", "seed", "stream", "s"):
         gen.add_argument(f"--{flag}", type=int)
-    gen.add_argument("--signal", choices=("sparse", "compressible"))
+    gen.add_argument("--signal", choices=SIGNAL_KINDS)
     gen.add_argument("--amplitude")
     gen.add_argument("--p", type=float)
-    gen.add_argument("--noise", choices=("none", "sparse", "laplacian"))
+    gen.add_argument("--noise", choices=NOISE_KINDS)
     gen.add_argument("--epsilon", type=float)
     gen.add_argument("--scale", type=float)
     gen.add_argument("--quantile", type=float)

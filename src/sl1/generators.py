@@ -21,6 +21,8 @@ from .rng import SAMPLER_NAME, RngSpec, Stream
 FORMAT_REVISION = "1"
 
 _AMPLITUDE_KINDS = ("unit", "gaussian", "uniform")
+SIGNAL_KINDS = ("sparse", "compressible")
+NOISE_KINDS = ("none", "sparse", "laplacian")
 
 
 def gen_gaussian_matrix(m: int, n: int, rng: RngSpec) -> np.ndarray:
@@ -88,26 +90,24 @@ def gen_compressible_signal(n: int, p: float, rng: RngSpec) -> np.ndarray:
     return x
 
 
-def _draw_spikes(m: int, s: int, stream: Stream) -> np.ndarray:
+def gen_sparse_noise(m: int, s: int, epsilon, rng: RngSpec) -> np.ndarray:
+    """Exactly s-sparse noise rescaled so that ||n||_1 equals epsilon
+    (the worst case within the budget); epsilon = 0 gives the zero
+    vector and epsilon = None leaves the spikes at standard normal size."""
+    m, s = int(m), int(s)
+    if not 1 <= s <= m:
+        raise ValueError(f"need 1 <= s <= m, got s={s}, m={m}")
+    if epsilon is not None:
+        epsilon = float(epsilon)
+        if epsilon < 0:
+            raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+        if epsilon == 0.0:
+            return np.zeros(m)
+    stream = Stream(rng)
     support = stream.subset(m, s)
     spikes = np.zeros(m)
     spikes[support] = stream.signs(s) * np.abs(_nonzero_normals(stream, s))
-    return spikes
-
-
-def gen_sparse_noise(m: int, s: int, epsilon: float, rng: RngSpec) -> np.ndarray:
-    """Exactly s-sparse noise rescaled so that ||n||_1 equals epsilon
-    (the worst case within the budget); epsilon = 0 gives the zero vector."""
-    m, s = int(m), int(s)
-    epsilon = float(epsilon)
-    if not 1 <= s <= m:
-        raise ValueError(f"need 1 <= s <= m, got s={s}, m={m}")
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-    if epsilon == 0.0:
-        return np.zeros(m)
-    spikes = _draw_spikes(m, s, Stream(rng))
-    return spikes * (epsilon / core.norm_lp(spikes, 1))
+    return spikes if epsilon is None else spikes * (epsilon / core.norm_lp(spikes, 1))
 
 
 class LaplacianNoise(NamedTuple):
@@ -171,39 +171,57 @@ class SparseInstance:
             raise ValueError("measurements do not equal phi @ x + noise")
 
 
-def _normalize_signal_spec(spec) -> dict:
-    spec = dict(spec or {"kind": "sparse"})
-    kind = spec.setdefault("kind", "sparse")
-    if kind == "sparse":
-        spec.setdefault("amplitude", "unit")
-    elif kind == "compressible":
-        if float(spec.get("p", 0)) <= 0:
-            raise ValueError("compressible signal spec needs a decay exponent p > 0")
-    else:
-        raise ValueError(f"unknown signal kind {kind!r}")
-    return spec
+def _required(spec: dict, key: str, component: str):
+    if spec.get(key) is None:
+        raise ValueError(f"{spec['kind']} {component} spec needs {key}")
+    return spec[key]
 
 
-def _normalize_noise_spec(spec) -> dict:
-    spec = dict(spec or {"kind": "none"})
-    kind = spec.setdefault("kind", "none")
-    if kind == "none":
-        pass
-    elif kind == "sparse":
-        if "s" not in spec:
-            raise ValueError("sparse noise spec needs the spike count s")
-        if "epsilon" not in spec:
-            spec.setdefault("scale", 1.0)
-    elif kind == "laplacian":
-        if not 0.0 < float(spec.get("quantile", 0)) < 1.0:
-            raise ValueError("laplacian noise spec needs a quantile in (0, 1)")
-    else:
-        raise ValueError(f"unknown noise kind {kind!r}")
-    return spec
+def _signal(n: int, k: int, spec: dict, rng: RngSpec):
+    """x and the recorded signal spec, its kind's keys only."""
+    if spec["kind"] == "sparse":
+        spec = {"kind": "sparse", "amplitude": spec.get("amplitude", "unit")}
+        return gen_sparse_signal(n, k, spec["amplitude"], rng), spec
+    if spec["kind"] == "compressible":
+        spec = {"kind": "compressible", "p": float(_required(spec, "p", "signal"))}
+        return gen_compressible_signal(n, spec["p"], rng), spec
+    raise ValueError(f"unknown signal kind {spec['kind']!r}; choose one of {SIGNAL_KINDS}")
+
+
+def _noise(m: int, spec: dict, rng: RngSpec):
+    """n, the epsilon it is stored with and the recorded noise spec."""
+    if spec["kind"] == "none":
+        return np.zeros(m), 0.0, {"kind": "none"}
+    if spec["kind"] == "sparse":
+        s = int(_required(spec, "s", "noise"))
+        if spec.get("epsilon") is not None:
+            recorded = {"kind": "sparse", "s": s, "epsilon": float(spec["epsilon"])}
+            noise = gen_sparse_noise(m, s, recorded["epsilon"], rng)
+        else:
+            recorded = {"kind": "sparse", "s": s, "scale": float(spec.get("scale", 1.0))}
+            noise = gen_sparse_noise(m, s, None, rng) * recorded["scale"]
+        # store the realized l1 mass so ||n||_1 <= epsilon holds exactly
+        recorded["epsilon_achieved"] = core.norm_lp(noise, 1)
+        return noise, recorded["epsilon_achieved"], recorded
+    if spec["kind"] == "laplacian":
+        quantile = float(_required(spec, "quantile", "noise"))
+        drawn = gen_laplacian_noise(m, quantile, rng)
+        recorded = {"kind": "laplacian", "quantile": quantile,
+                    "epsilon_quantile_value": drawn.epsilon,
+                    "exceeded_quantile": drawn.exceeded}
+        return drawn.noise, max(drawn.epsilon, core.norm_lp(drawn.noise, 1)), recorded
+    raise ValueError(f"unknown noise kind {spec['kind']!r}; choose one of {NOISE_KINDS}")
 
 
 def make_instance(n: int, m: int, k: int, noise_spec, signal_spec, rng: RngSpec) -> SparseInstance:
     """Assemble a complete instance: phi, x, n and y = phi @ x + n.
+
+    Each spec is a dict with a "kind" (SIGNAL_KINDS, default "sparse";
+    NOISE_KINDS, default "none") and that kind's keys: "amplitude"
+    (default "unit") for a sparse signal, "p" for a compressible one;
+    "s" with "epsilon" or "scale" (default 1.0) for sparse noise,
+    "quantile" for Laplacian noise.  Other keys are ignored, and meta
+    records the resolved specs.
 
     Sub-streams: rng.child(0) drives phi, child(1) the signal and
     child(2) the noise, so every component is individually replayable.
@@ -211,44 +229,17 @@ def make_instance(n: int, m: int, k: int, noise_spec, signal_spec, rng: RngSpec)
     n, m, k = int(n), int(m), int(k)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    signal_spec = _normalize_signal_spec(signal_spec)
-    noise_spec = _normalize_noise_spec(noise_spec)
-
+    x, signal = _signal(n, k, {"kind": "sparse", **(signal_spec or {})}, rng.child(1))
+    noise, epsilon, recorded_noise = _noise(m, {"kind": "none", **(noise_spec or {})},
+                                            rng.child(2))
     phi = gen_gaussian_matrix(m, n, rng.child(0))
-
-    if signal_spec["kind"] == "sparse":
-        x = gen_sparse_signal(n, k, signal_spec["amplitude"], rng.child(1))
-    else:
-        x = gen_compressible_signal(n, float(signal_spec["p"]), rng.child(1))
-
-    resolved_noise = dict(noise_spec)
-    kind = noise_spec["kind"]
-    if kind == "none":
-        noise = np.zeros(m)
-        epsilon = 0.0
-    elif kind == "sparse":
-        s = int(noise_spec["s"])
-        if "epsilon" in noise_spec:
-            noise = gen_sparse_noise(m, s, float(noise_spec["epsilon"]), rng.child(2))
-        else:
-            noise = _draw_spikes(m, s, Stream(rng.child(2))) * float(noise_spec["scale"])
-        # store the realized l1 mass so ||n||_1 <= epsilon holds exactly
-        epsilon = core.norm_lp(noise, 1)
-        resolved_noise["epsilon_achieved"] = epsilon
-    else:
-        drawn = gen_laplacian_noise(m, float(noise_spec["quantile"]), rng.child(2))
-        noise = drawn.noise
-        epsilon = max(drawn.epsilon, core.norm_lp(noise, 1))
-        resolved_noise["epsilon_quantile_value"] = drawn.epsilon
-        resolved_noise["exceeded_quantile"] = drawn.exceeded
-
     y = core.mat_vec(phi, x) + noise
     meta = {
         "format_revision": FORMAT_REVISION,
         "sampler": SAMPLER_NAME,
         "rng": rng.as_dict(),
-        "signal": signal_spec,
-        "noise": resolved_noise,
+        "signal": signal,
+        "noise": recorded_noise,
     }
     return SparseInstance(x=x, phi=phi, noise=noise, y=y, epsilon=float(epsilon), k=k, meta=meta)
 

@@ -2,10 +2,10 @@
 
 Binary matrices use the "SL1M" container: 4-byte magic, little-endian
 u32 rows and cols, then rows*cols little-endian float64 values in
-row-major order.  CSV files carry one matrix row per line (vectors are
-stored as a single column) with shortest round-trip decimal floats, so
-a write/read cycle is bit-exact.  All writers go through a
-write-temp-then-rename step so partial files are never observed.
+row-major order.  Vector CSV files carry one value per line as a
+shortest round-trip decimal float, so a write/read cycle is bit-exact.
+All writers go through a write-temp-then-rename step so partial files
+are never observed.
 """
 
 import json
@@ -97,41 +97,23 @@ def read_matrix_bin(path) -> np.ndarray:
     return a
 
 
-def _format_row(row) -> str:
-    return ",".join(repr(float(x)) for x in row)
-
-
-def write_matrix_csv(path, a) -> None:
-    a = core.as_matrix(a)
-    atomic_write_text(path, "\n".join(_format_row(row) for row in a) + "\n")
-
-
-def read_matrix_csv(path) -> np.ndarray:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append([float(tok) for tok in line.split(",")])
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: invalid float ({exc})") from exc
-    if not rows or any(len(r) != len(rows[0]) for r in rows):
-        raise FormatError(f"{path}: empty or ragged CSV matrix")
-    a = np.asarray(rows, dtype=np.float64)
-    if not np.all(np.isfinite(a)):
-        raise FormatError(f"{path}: matrix contains non-finite entries")
-    return a
-
-
 def write_vector_csv(path, v) -> None:
     v = core.as_vector(v)
     atomic_write_text(path, "\n".join(repr(float(x)) for x in v) + "\n")
 
 
 def read_vector_csv(path) -> np.ndarray:
-    a = read_matrix_csv(path)
-    if a.shape[1] != 1:
-        raise FormatError(f"{path}: expected a single-column vector CSV")
-    return a[:, 0]
+    values = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    values.append(float(line))
+                except ValueError as exc:
+                    raise FormatError(f"{path}:{lineno}: invalid float ({exc})") from exc
+    if not values:
+        raise FormatError(f"{path}: empty vector CSV")
+    v = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(v)):
+        raise FormatError(f"{path}: vector contains non-finite entries")
+    return v

@@ -59,10 +59,6 @@ class RngSpec:
     def as_dict(self) -> dict:
         return {"seed": self.seed, "stream": self.stream}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RngSpec":
-        return cls(int(d["seed"]), int(d.get("stream", 0)))
-
 
 class Stream:
     """Stateful sampler over the raw Philox word stream of one RngSpec.
@@ -73,8 +69,6 @@ class Stream:
     """
 
     def __init__(self, spec: RngSpec):
-        if not isinstance(spec, RngSpec):
-            spec = RngSpec.from_dict(dict(spec))
         self.spec = spec
         self._bg = np.random.Philox(key=np.array([spec.seed, spec.stream], dtype=np.uint64))
 
@@ -125,25 +119,26 @@ class Stream:
             if r < bound:
                 return r
 
+    def _shuffle_head(self, n: int, k: int) -> np.ndarray:
+        """range(n) with a uniform draw of k items moved to its head
+        (the first k steps of a Fisher-Yates shuffle)."""
+        pool = np.arange(n, dtype=np.int64)
+        for i in range(k):
+            j = i + self.integer_below(n - i)
+            pool[i], pool[j] = pool[j], pool[i]
+        return pool
+
     def subset(self, n: int, k: int) -> np.ndarray:
         """Uniform k-subset of range(n), returned sorted ascending."""
         n, k = int(n), int(k)
         if not 0 <= k <= n:
             raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-        pool = np.arange(n, dtype=np.int64)
-        for i in range(k):
-            j = i + self.integer_below(n - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return np.sort(pool[:k])
+        return np.sort(self._shuffle_head(n, k)[:k])
 
     def permutation(self, n: int) -> np.ndarray:
         """Uniform permutation of range(n) (Fisher-Yates)."""
         n = int(n)
-        pool = np.arange(n, dtype=np.int64)
-        for i in range(n - 1):
-            j = i + self.integer_below(n - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool
+        return self._shuffle_head(n, n - 1)
 
     def unit_vector(self, n: int) -> np.ndarray:
         """Uniform point on the unit sphere in R^n."""

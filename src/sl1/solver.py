@@ -43,8 +43,9 @@ class SolverConfig:
     max_iters: int = 50_000
 
     def __post_init__(self):
-        if self.feasibility_tol <= 0 or self.objective_tol <= 0:
-            raise ValueError("tolerances must be strictly positive")
+        for name in ("feasibility_tol", "objective_tol"):
+            if not getattr(self, name) > 0:  # NaN fails this test too
+                raise ValueError(f"{name} must be strictly positive, got {getattr(self, name)}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
         if self.method not in METHODS:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -15,6 +16,11 @@ def _files(directory):
 
 def _read_all(directory):
     return {name: (directory / name).read_bytes() for name in _files(directory)}
+
+
+def _digests(directory):
+    return {name: hashlib.sha256(data).hexdigest()[:16]
+            for name, data in _read_all(directory).items()}
 
 
 def _reject_constant(token):
@@ -68,6 +74,52 @@ class TestGen:
         config.write_text(text)
         assert main(["gen", "--config", str(config)]) == 3
         assert "must be a JSON object" in capsys.readouterr().err
+
+    # sha256 prefixes of the five bundle files, recorded before the
+    # instance spec moved into generators.make_instance (x86-64 Linux,
+    # numpy 2.4).  Each bundle is also replayed from its meta.json.
+    @pytest.mark.parametrize("flags, digests", [
+        ("--noise none",
+         {"meta.json": "4840eb38d4b70ab8", "n.csv": "34dc805caeaea7d4",
+          "phi.bin": "9b49a9095421c117", "x.csv": "99d3c2269d94953f",
+          "y.csv": "b7b221dd524bb088"}),
+        ("--amplitude gaussian --noise sparse --s 3 --scale 2.5",
+         {"meta.json": "a7b7ad13db49df9b", "n.csv": "34ea99123da86b75",
+          "phi.bin": "9b49a9095421c117", "x.csv": "db6710a9db97088b",
+          "y.csv": "7a3712d61d7b59dd"}),
+        ("--amplitude uniform:0.5:1.0 --noise sparse --s 3 --epsilon 0.7",
+         {"meta.json": "a40e4909451bf94d", "n.csv": "b4c3dac785385557",
+          "phi.bin": "9b49a9095421c117", "x.csv": "5fc232ddc3a3d6b1",
+          "y.csv": "46914bc62c29e45a"}),
+        ("--signal compressible --p 1.5 --noise laplacian --quantile 0.9",
+         {"meta.json": "c2f137aeb06685e6", "n.csv": "2aa34030f6f8d491",
+          "phi.bin": "9b49a9095421c117", "x.csv": "16ad3ece5f276696",
+          "y.csv": "f3e15b0f226816f3"}),
+    ])
+    def test_bundle_bytes_pinned(self, tmp_path, monkeypatch, flags, digests):
+        monkeypatch.chdir(tmp_path)  # meta.json echoes the relative --out
+        bundle = tmp_path / "b"
+        assert main(["gen", "--out", "b", "--n", "24", "--m", "32", "--k", "2",
+                     "--seed", "7", *flags.split()]) == 0
+        assert _digests(bundle) == digests
+        assert main(["gen", "--config", "b/meta.json"]) == 0
+        assert _digests(bundle) == digests
+
+    @pytest.mark.parametrize("config, flags, named", [
+        ({"signal": "bogus"}, [], "unknown signal kind 'bogus'"),
+        ({"noise": "bogus"}, [], "unknown noise kind 'bogus'"),
+        ({}, ["--noise", "sparse", "--s", "0"], "s=0"),
+        ({}, ["--noise", "sparse", "--s", "0", "--epsilon", "0.5"], "s=0"),
+        ({}, ["--noise", "sparse", "--s", "11", "--m", "10"], "s=11"),
+    ])
+    def test_invalid_instance_spec_exits_2_without_bundle(self, tmp_path, capsys,
+                                                          config, flags, named):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"out": str(tmp_path / "out"), "n": 12, "m": 8, "k": 1,
+                                    **config}))
+        assert main(["gen", "--config", str(path), *flags]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_laplacian_and_compressible_options(self, tmp_path):
         path = tmp_path / "lap"
@@ -384,6 +436,8 @@ class TestConfig:
         ("trace", "steps", [40]),
         ("grid", "m_values", 5),
         ("grid", "trials", [1]),
+        ("gen", "p", "abc"),
+        ("solve", "feasibility_tol", "nan"),
     ])
     def test_config_value_of_wrong_type_exits_2(self, bundle, tmp_path, capsys,
                                                  command, key, value):

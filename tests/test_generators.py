@@ -96,6 +96,12 @@ class TestSparseNoise:
         with pytest.raises(ValueError):
             generators.gen_sparse_noise(3, 4, 1.0, RngSpec(0))
 
+    def test_without_budget_spikes_keep_their_draw(self):
+        spikes = generators.gen_sparse_noise(9, 3, None, RngSpec(4))
+        scaled = generators.gen_sparse_noise(9, 3, 0.75, RngSpec(4))
+        assert core.norm_lp(spikes, 0) == 3
+        assert np.array_equal(spikes * (0.75 / core.norm_lp(spikes, 1)), scaled)
+
 
 class TestLaplacianNoise:
     def test_single_entry_quantile_closed_form(self):
@@ -189,6 +195,31 @@ class TestMakeInstance:
         with pytest.raises(ValueError):
             generators.make_instance(4, 3, 5, {"kind": "none"},
                                      {"kind": "sparse"}, RngSpec(0))
+
+    def test_meta_records_only_the_kinds_keys(self):
+        inst = generators.make_instance(
+            6, 5, 1, {"kind": "sparse", "s": 2, "epsilon": None, "scale": 2, "quantile": 0.5},
+            {"kind": "compressible", "amplitude": "unit", "p": 2}, RngSpec(8))
+        assert inst.meta["signal"] == {"kind": "compressible", "p": 2.0}
+        assert inst.meta["noise"] == {"kind": "sparse", "s": 2, "scale": 2.0,
+                                      "epsilon_achieved": inst.epsilon}
+        assert generators.make_instance(6, 5, 1, None, None, RngSpec(8)).meta["signal"] \
+            == {"kind": "sparse", "amplitude": "unit"}
+
+    @pytest.mark.parametrize("noise_spec, signal_spec", [
+        ({"kind": "bogus"}, None),
+        (None, {"kind": "bogus"}),
+        ({"kind": "sparse"}, None),
+        ({"kind": "laplacian"}, None),
+        (None, {"kind": "compressible"}),
+        ({"kind": "sparse", "s": 0, "epsilon": 1.0}, None),
+        ({"kind": "sparse", "s": 0, "scale": 1.0}, None),
+        ({"kind": "sparse", "s": 6, "epsilon": 1.0}, None),
+        ({"kind": "sparse", "s": 6}, None),
+    ])
+    def test_invalid_spec_rejected(self, noise_spec, signal_spec):
+        with pytest.raises(ValueError):
+            generators.make_instance(8, 5, 1, noise_spec, signal_spec, RngSpec(0))
 
 
 class TestBundleIo:

@@ -48,10 +48,11 @@ def test_truncated_payload_rejected(tmp_path, rng_matrix):
         matio.read_matrix_bin(path)
 
 
-def test_csv_matrix_round_trip_is_exact(tmp_path, rng_matrix):
-    path = tmp_path / "a.csv"
-    matio.write_matrix_csv(path, rng_matrix)
-    assert np.array_equal(matio.read_matrix_csv(path), rng_matrix)
+def test_csv_vector_round_trip_keeps_extreme_values(tmp_path):
+    v = np.array([0.0, -0.0, 5e-324, -1.7976931348623157e308, 0.1, 1 / 3])
+    path = tmp_path / "v.csv"
+    matio.write_vector_csv(path, v)
+    assert matio.read_vector_csv(path).tobytes() == v.tobytes()
 
 
 def test_csv_vector_round_trip_is_exact(tmp_path):
@@ -61,18 +62,40 @@ def test_csv_vector_round_trip_is_exact(tmp_path):
     assert np.array_equal(matio.read_vector_csv(path), v)
 
 
+def test_csv_vector_skips_blank_lines(tmp_path):
+    path = tmp_path / "v.csv"
+    path.write_text("\n1.5\n\n -2.0 \n")
+    assert matio.read_vector_csv(path).tolist() == [1.5, -2.0]
+
+
 def test_ragged_csv_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1.0,2.0\n3.0\n")
     with pytest.raises(matio.FormatError):
-        matio.read_matrix_csv(path)
+        matio.read_vector_csv(path)
 
 
 def test_non_numeric_csv_rejected(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("1.0,zzz\n")
-    with pytest.raises(matio.FormatError):
-        matio.read_matrix_csv(path)
+    path.write_text("1.0\nzzz\n")
+    with pytest.raises(matio.FormatError, match=":2: invalid float"):
+        matio.read_vector_csv(path)
+
+
+@pytest.mark.parametrize("text", ["", "\n \n"])
+def test_empty_csv_rejected(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(matio.FormatError, match="empty"):
+        matio.read_vector_csv(path)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_non_finite_csv_rejected(tmp_path, token):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"1.0\n{token}\n")
+    with pytest.raises(matio.FormatError, match="non-finite"):
+        matio.read_vector_csv(path)
 
 
 def test_json_round_trip_and_stable_bytes(tmp_path):
