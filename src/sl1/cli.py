@@ -64,7 +64,7 @@ def _require(resolved: dict, *keys):
 
 
 def _integer(value) -> int:
-    if isinstance(value, float) and not value.is_integer():
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
         raise ValueError(value)
     return int(value)
 
@@ -75,12 +75,15 @@ _KINDS = {int: "an integer", float: "a number", tuple: "a list of integers", str
 def _coerce(key: str, value, kind):
     """value as an int, float, tuple of ints ("1,2" or a list) or str.
     Numeric strings and integral floats convert; any other value of the
-    wrong type raises a ValueError that names the key.  A value of
-    another kind (the grid's amplitude law) passes through."""
+    wrong type, a JSON boolean included, raises a ValueError that names
+    the key.  A value of another kind (the grid's amplitude law) passes
+    through."""
     try:
         if kind is int:
             return _integer(value)
         if kind is float:
+            if isinstance(value, bool):
+                raise TypeError(value)
             return float(value)
         if kind is tuple:
             items = [t for t in value.split(",") if t.strip()] if isinstance(value, str) else value

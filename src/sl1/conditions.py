@@ -16,10 +16,13 @@ supply their own values (the defaults C = c = 1 are placeholders, not
 calibrated).
 
 True worst-case deviations are NP-hard to certify in general: the
-searches below enumerate supports exhaustively only at small scale, and
-even then the per-support sphere maximization is a multi-start ascent
-heuristic.  A "satisfied" verdict therefore certifies the support
-enumeration, with that caveat.
+searches below enumerate supports exhaustively only at small scale.  At
+k = 1 the per-support maximization is exact: u lives on a circle, whose
+sign patterns change only at the 2M breakpoints where a row of phi_S u
+vanishes, and the searches enumerate the arcs between them in closed
+form, so an exhaustive "satisfied" verdict at k = 1 is a proof.  At
+k >= 2 the per-support maximization is a multi-start ascent heuristic,
+and "satisfied" certifies the support enumeration with that caveat.
 """
 
 import itertools
@@ -181,7 +184,8 @@ def _search(items, climb):
     """Climb from every item in order and keep the best ascent.
 
     climb(item) draws the item's starts from the search stream and
-    yields (value, candidate, evals) per ascent, in start order.
+    yields (value, candidate, evals) per ascent, in start order; the
+    exact k = 1 solvers draw nothing and yield one triple per item.
     Candidates of None never win, and an equal later value does not
     replace an earlier one, so the first maximum wins.  Sampled-mode
     callers pass a lazy generator over the same stream, so item draws
@@ -199,14 +203,128 @@ def _search(items, climb):
     return best, evals, visited
 
 
+# Breakpoints closer than this (radians) count as one: no float witness
+# lands reliably inside a narrower arc, and rounding cannot tell two such
+# breakpoints from one.  A sign pattern that holds only on a narrower arc
+# is the one case the k = 1 enumeration does not see.
+ARC_MERGE = 1e-12
+
+
+def _circle_arcs(b, cols):
+    """Sign patterns s = sign(b z) over the unit circle z = (cos t, sin t)
+    for an M x 2 block b = phi[:, S_u], and the sums s @ cols on each.
+
+    Row r with b_r != 0 turns from + to - (counterclockwise) at
+    atan2(b_r) + pi/2 and from - to + at atan2(b_r) - pi/2; a zero row
+    keeps sign(0) = -1 all round.  The signs are read once, in the middle
+    of the widest gap, and one cumsum of the flips -2 * old_sign * cols[r]
+    in sweep order gives the sums on every arc: O(M * cols) memory.
+    Breakpoints within ARC_MERGE merge.  Where rows turning both ways meet
+    at one breakpoint (rows of opposite signs along one line), that
+    breakpoint carries a pattern of its own, with each of those rows at
+    sign(0) = -1; such points come back too, each with a unit z at which
+    its leading row vanishes.
+
+    Returns (lo, hi, arc_sums, point_z, point_sums): arc g spans
+    (lo[g], hi[g]) with lo[g] < hi[g] <= lo[g] + 2 pi.
+    """
+    rows = np.flatnonzero((b[:, 0] != 0.0) | (b[:, 1] != 0.0))
+    if rows.size == 0:
+        sums = -np.sum(cols, axis=0, keepdims=True)
+        return (np.zeros(1), np.full(1, 2.0 * math.pi), sums,
+                np.empty((0, 2)), np.empty((0, cols.shape[1])))
+    alpha = np.arctan2(b[rows, 1], b[rows, 0])
+    theta = np.concatenate([alpha + 0.5 * math.pi, alpha - 0.5 * math.pi]) % (2.0 * math.pi)
+    order = np.argsort(theta, kind="stable")
+    theta = theta[order]
+    gap = np.diff(theta, append=theta[0] + 2.0 * math.pi)
+    widest = int(np.argmax(gap))
+    # sweep counterclockwise from the middle of the widest gap
+    order = np.roll(order, -(widest + 1))
+    theta = np.roll(theta, -(widest + 1))
+    theta[theta.size - widest - 1:] += 2.0 * math.pi
+    t0 = theta[0] - 0.5 * gap[widest]
+    s0 = np.where(b @ np.array([math.cos(t0), math.sin(t0)]) > 0.0, 1.0, -1.0)
+    down = order < rows.size            # + to - at this breakpoint
+    flip_rows = rows[order % rows.size]
+    flips = np.where(down, -2.0, 2.0)[:, None] * cols[flip_rows]
+    before = np.zeros((theta.size + 1, cols.shape[1]))
+    np.cumsum(flips, axis=0, out=before[1:])
+    before += s0 @ cols                 # before[i]: sums ahead of breakpoint i
+
+    starts = np.flatnonzero(np.diff(theta, prepend=-math.inf) > ARC_MERGE)
+    ends = np.append(starts[1:], theta.size) - 1
+    lo = np.append(theta[-1] - 2.0 * math.pi, theta[ends[:-1]])
+    hi = theta[starts]
+    arc_sums = before[starts]
+
+    n_down = np.concatenate([[0], np.cumsum(down)])
+    downs = n_down[ends + 1] - n_down[starts]
+    mixed = (downs > 0) & (downs < ends + 1 - starts)
+    if not mixed.any():
+        return lo, hi, arc_sums, np.empty((0, 2)), np.empty((0, cols.shape[1]))
+    # at the point itself the rows turning down are already at -1, the
+    # rows turning up still are
+    down_sums = np.zeros_like(before)
+    np.cumsum(np.where(down[:, None], flips, 0.0), axis=0, out=down_sums[1:])
+    at, last = starts[mixed], ends[mixed] + 1
+    point_sums = before[at] + down_sums[last] - down_sums[at]
+    lead = b[flip_rows[at]]
+    point_z = np.where(down[at, None], 1.0, -1.0) * np.stack([-lead[:, 1], lead[:, 0]], axis=1)
+    point_z /= np.hypot(lead[:, 0], lead[:, 1])[:, None]
+    return lo, hi, arc_sums, point_z, point_sums
+
+
+def _norm_on_arcs(b, nu):
+    """Exact max over unit z of |(1/M)||b z||_1 - nu| for an M x 2 block.
+
+    On each arc (1/M)||b z||_1 = A cos t + B sin t, so its extremes lie at
+    the arc's ends or at the stationary angles atan2(B, A) and + pi.
+    Returns (value, unit z, arcs evaluated).
+    """
+    m = b.shape[0]
+    lo, hi, sums, _, _ = _circle_arcs(b, b)
+    a_coef, b_coef = sums[:, 0] / m, sums[:, 1] / m
+    peak = np.arctan2(b_coef, a_coef)[:, None] + np.array([0.0, math.pi])
+    inner = lo[:, None] + (peak - lo[:, None]) % (2.0 * math.pi)
+    t = np.concatenate([lo[:, None], hi[:, None], inner], axis=1)
+    dev = np.abs(a_coef[:, None] * np.cos(t) + b_coef[:, None] * np.sin(t) - nu)
+    dev[:, 2:][inner >= hi[:, None]] = -1.0
+    best = np.unravel_index(int(np.argmax(dev)), dev.shape)
+    angle = float(t[best])
+    return float(dev[best]), np.array([math.cos(angle), math.sin(angle)]), lo.size
+
+
+def _cross_candidates(b, cols):
+    """One unit z per sign pattern of b z on the circle (arc midpoints,
+    then the breakpoints with patterns of their own) and |s @ cols| / M
+    for each: a row per pattern, a column per column of cols."""
+    lo, hi, arc_sums, point_z, point_sums = _circle_arcs(b, cols)
+    mid = 0.5 * (lo + hi)
+    z = np.concatenate([np.stack([np.cos(mid), np.sin(mid)], axis=1), point_z])
+    return z, np.abs(np.concatenate([arc_sums, point_sums])) / b.shape[0]
+
+
+def _cross_overlap_k1(phi, su, j):
+    """At k = 1 with S_v = {j} inside S_u, u must be +-e_i (i the other
+    index of S_u): the value is |sign(+-phi_i) . phi_j| / M in closed form.
+    Returns (value, u coefficients on S_u)."""
+    other = su != j
+    col_i = phi[:, su[other][0]]
+    plus, minus = (abs(float(np.where(sign * col_i > 0.0, 1.0, -1.0) @ phi[:, j])) / phi.shape[0]
+                   for sign in (1.0, -1.0))
+    return max(plus, minus), np.where(other, 1.0 if plus >= minus else -1.0, 0.0)
+
+
 def estimate_norm_deviation(phi, k: int, budget: SearchBudget, rng: RngSpec) -> SearchPart:
     """Lower bound on the worst norm deviation over vectors with at
     most 2k nonzeros, by support enumeration (when the count fits the
-    budget cap) or sampled supports, with multi-start sphere ascent in
-    both directions.  Supports and starts are drawn in order on one
-    stream, rng.child(0); after a support's `starts` start vectors are
-    drawn, its 2 * starts ascents (up and down from each start) climb
-    together as lanes of one batch."""
+    budget cap) or sampled supports, drawn in order on one stream,
+    rng.child(0).  At 2k = 2 each support is maximized exactly over its
+    arcs (_norm_on_arcs) and no start vectors are drawn.  At 2k >= 4 a
+    multi-start sphere ascent runs in both directions: after a support's
+    `starts` start vectors are drawn, its 2 * starts ascents (up and down
+    from each start) climb together as lanes of one batch."""
     phi = core.as_matrix(phi, "phi")
     m, n = phi.shape
     k = int(k)
@@ -231,6 +349,10 @@ def estimate_norm_deviation(phi, k: int, budget: SearchBudget, rng: RngSpec) -> 
     # lane 2j climbs up from start j, lane 2j + 1 down from it
     directions = np.tile([1.0, -1.0], budget.starts)
 
+    def exact(sup):
+        val, z, arcs = _norm_on_arcs(phi[:, sup], nu)
+        yield val, (sup, z), arcs
+
     def climb(sup):
         z0 = np.empty((width, budget.starts))
         for j in range(budget.starts):
@@ -241,7 +363,7 @@ def estimate_norm_deviation(phi, k: int, budget: SearchBudget, rng: RngSpec) -> 
         for lane in range(directions.size):
             yield float(vals[lane]), (sup, z[:, lane]), int(used[lane])
 
-    best, evals, visited = _search(supports, climb)
+    best, evals, visited = _search(supports, exact if width == 2 else climb)
     witness = None
     value = 0.0
     if best is not None:
@@ -308,8 +430,13 @@ def estimate_cross_deviation(phi, k: int, budget: SearchBudget, rng: RngSpec) ->
     supports with v projected onto the orthogonal complement of u inside
     its own support.  The family mix is recorded in the result.  Pairs,
     starts and the random-direction ascent on u all run in order on one
-    stream, rng.child(0).  The columns of phi on S_u and S_v are sliced
-    once per pair, and every ascent step is evaluated on those blocks.
+    stream, rng.child(0).  At k = 1 each pair is solved exactly and no
+    starts are drawn: a disjoint pair's value is constant on each arc of
+    the S_u circle (_cross_candidates, swept once per S_u and read for
+    every S_v), and an overlapping pair forces u = +-e_i
+    (_cross_overlap_k1); v is the unit vector e_j of S_v = {j}.  At
+    k >= 2 the columns of phi on S_u and S_v are sliced once per pair,
+    and every ascent step is evaluated on those blocks.
     """
     phi = core.as_matrix(phi, "phi")
     m, n = phi.shape
@@ -347,6 +474,26 @@ def estimate_cross_deviation(phi, k: int, budget: SearchBudget, rng: RngSpec) ->
                 families[family] += 1
                 yield su, sv
 
+    swept = [None, None]  # (S_u, its candidates on every column of phi)
+
+    def exact(pair):
+        su, sv = pair
+        j = int(sv[0])
+        if j in su:
+            val, zu = _cross_overlap_k1(phi, su, j)
+            yield val, (su, zu, sv, np.ones(1)), 2
+            return
+        if exhaustive:
+            if swept[0] is not su:
+                swept[:] = su, _cross_candidates(phi[:, su], phi)
+            zs, vals = swept[1]
+            vals = vals[:, j]
+        else:
+            zs, vals = _cross_candidates(phi[:, su], phi[:, sv])
+            vals = vals[:, 0]
+        best = int(np.argmax(vals))
+        yield float(vals[best]), (su, zs[best], sv, np.ones(1)), vals.size
+
     def climb(pair):
         su, sv = pair
         bu, bv = phi[:, su], phi[:, sv]
@@ -373,7 +520,7 @@ def estimate_cross_deviation(phi, k: int, budget: SearchBudget, rng: RngSpec) ->
                         break
             yield val, None if zv is None else (su, zu, sv, zv), evals
 
-    best, evals, visited = _search(pairs(), climb)
+    best, evals, visited = _search(pairs(), exact if k == 1 else climb)
     witness = None
     value = 0.0
     if best is not None:
@@ -399,7 +546,7 @@ class ConditionEstimate:
     cross_dev_lower: float
     k: int
     samples: int
-    refinement: str           # "none" | "local-ascent"
+    refinement: str           # "none" | "local-ascent" | "exact-arcs" (k = 1)
     exhaustive: bool
     norm_part: SearchPart = None
     cross_part: SearchPart = None
@@ -446,7 +593,12 @@ def estimate_conditions(phi, k: int, budget: SearchBudget, rng: RngSpec) -> Cond
     """Run both deviation searches and assemble a ConditionEstimate."""
     norm_part = estimate_norm_deviation(phi, k, budget, rng.child(1))
     cross_part = estimate_cross_deviation(phi, k, budget, rng.child(2))
-    refinement = "local-ascent" if budget.engaged() and budget.steps > 0 else "none"
+    if not budget.engaged():
+        refinement = "none"
+    elif k == 1:
+        refinement = "exact-arcs"
+    else:
+        refinement = "local-ascent" if budget.steps > 0 else "none"
     return ConditionEstimate(
         calibration=half_normal_mean(),
         norm_dev_lower=norm_part.value,
@@ -464,8 +616,9 @@ def condition_verdict(estimate: ConditionEstimate) -> str:
     """Check norm_dev + cross_dev <= calibration - 1/2.
 
     Lower bounds can refute the condition outright; confirming it
-    requires the exhaustive search (and even then the per-support
-    maximization is heuristic, which "satisfied" inherits).
+    requires the exhaustive search.  At k = 1 the per-support
+    maximization is exact, so "satisfied" is a proof there; at k >= 2 it
+    is a heuristic ascent, which "satisfied" inherits.
     """
     threshold = estimate.calibration - 0.5
     if estimate.norm_dev_lower + estimate.cross_dev_lower > threshold:

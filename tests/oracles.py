@@ -106,6 +106,93 @@ def cross_deviation_disjoint_max_k1(phi, su, sv, grid_points=4096):
     return best
 
 
+def _circle_arcs_k1(b):
+    """(lo, hi) arcs of the unit circle between consecutive angles where
+    a nonzero row of the M x 2 block b is orthogonal to z = (cos t, sin t),
+    by a plain loop over the sorted angles; arcs narrower than 1e-12 are
+    dropped, and a block without nonzero rows gives the whole circle."""
+    angles = []
+    for x, y in np.asarray(b, dtype=float):
+        if x != 0.0 or y != 0.0:
+            base = math.atan2(y, x)
+            angles += [(base + math.pi / 2) % (2 * math.pi),
+                       (base - math.pi / 2) % (2 * math.pi)]
+    angles.sort()
+    if not angles:
+        return [(0.0, 2 * math.pi)]
+    arcs = []
+    for i, lo in enumerate(angles):
+        hi = angles[i + 1] if i + 1 < len(angles) else angles[0] + 2 * math.pi
+        if hi - lo > 1e-12:
+            arcs.append((lo, hi))
+    return arcs
+
+
+def _signs_at(b, t):
+    """sign(b z) at z = (cos t, sin t), with sign(0) = -1."""
+    return np.where(b @ np.array([math.cos(t), math.sin(t)]) > 0.0, 1.0, -1.0)
+
+
+def _golden_max(f, lo, hi, iters=60):
+    """Max of a unimodal scalar f on [lo, hi] by golden-section search,
+    the two ends included."""
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, d = b - ratio * (b - a), a + ratio * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        if fc < fd:
+            a, c, fc = c, d, fd
+            d = a + ratio * (b - a)
+            fd = f(d)
+        else:
+            b, d, fd = d, c, fc
+            c = b - ratio * (b - a)
+            fc = f(c)
+    return max(fc, fd, f(lo), f(hi))
+
+
+def k1_exact_norm_deviation(phi, calibration):
+    """Max over unit u with at most 2 nonzeros of |(1/M)||phi u||_1 - nu|.
+
+    For each support and each arc between breakpoints, the signs are read
+    at the arc's midpoint; on the arc (1/M)||phi_S z||_1 = A cos t + B sin t,
+    which is concave there, so a golden-section search gives its maximum
+    and the ends give its minimum."""
+    phi = np.asarray(phi, dtype=float)
+    m, n = phi.shape
+    best = 0.0
+    for su in combinations(range(n), 2):
+        b = phi[:, list(su)]
+        for lo, hi in _circle_arcs_k1(b):
+            s = _signs_at(b, 0.5 * (lo + hi))
+            a_coef, b_coef = float(s @ b[:, 0]) / m, float(s @ b[:, 1]) / m
+
+            def f(t):
+                return a_coef * math.cos(t) + b_coef * math.sin(t)
+
+            best = max(best, _golden_max(f, lo, hi) - calibration,
+                       calibration - min(f(lo), f(hi)))
+    return best
+
+
+def k1_exact_cross_deviation(phi):
+    """Max of |(1/M) <sign(phi u), phi_j>| over unit u on a 2-dim support
+    and an index j outside it (k = 1, disjoint pairs): the signs are
+    constant on each arc, so reading them at every arc's midpoint covers
+    every value."""
+    phi = np.asarray(phi, dtype=float)
+    m, n = phi.shape
+    best = 0.0
+    for su in combinations(range(n), 2):
+        b = phi[:, list(su)]
+        others = phi[:, [j for j in range(n) if j not in su]]
+        for lo, hi in _circle_arcs_k1(b):
+            s = _signs_at(b, 0.5 * (lo + hi))
+            best = max(best, float(np.max(np.abs(s @ others))) / m)
+    return best
+
+
 def box_muller_normals(bitgen, n):
     """n standard normals from a numpy Philox bit generator, drawing
     the radius uniforms and the angle uniforms with two separate calls

@@ -269,6 +269,34 @@ class TestConditions:
         assert out.read_bytes() == first
 
 
+    def test_k3_sampled_output_bytes_pinned(self, tmp_path, monkeypatch):
+        # The two 60x200 k = 3 matrices of the benchmark's conditions
+        # workload run the sampled sphere ascent, which the exact k = 1
+        # path must leave alone: same bytes, digests taken before it.
+        from sl1.generators import gen_gaussian_matrix
+        from sl1.rng import RngSpec
+        monkeypatch.chdir(tmp_path)  # the echoed paths are relative
+        prefixes = ["70eb4412c9c291da", "9fdb21026163f584"]
+        for t, prefix in enumerate(prefixes):
+            matio.write_matrix_bin(f"gauss{t}.bin",
+                                   gen_gaussian_matrix(60, 200, RngSpec(17320, t)))
+            assert main(["conditions", "--matrix", f"gauss{t}.bin", "--k", "3",
+                         "--seed", "60222", "--stream", str(t), "--out", f"gauss{t}.json"]) == 0
+            digest = hashlib.sha256((tmp_path / f"gauss{t}.json").read_bytes()).hexdigest()
+            assert digest[:16] == prefix
+
+    def test_k1_exhaustive_is_exact_and_replays(self, tmp_path):
+        bundle, out = str(tmp_path / "b"), tmp_path / "cond.json"
+        assert main(["gen", "--out", bundle, "--n", "8", "--m", "40", "--k", "1",
+                     "--seed", "5"]) == 0
+        assert main(["conditions", "--bundle", bundle, "--out", str(out)]) == 0
+        estimate = matio.read_json(out)["estimate"]
+        assert estimate["refinement"] == "exact-arcs" and estimate["exhaustive"]
+        first = out.read_bytes()
+        assert main(["conditions", "--config", str(out)]) == 0
+        assert out.read_bytes() == first
+
+
 class TestTrace:
     def test_noiseless_bundle_all_rows_hold(self, tmp_path):
         path = tmp_path / "clean"
@@ -450,4 +478,25 @@ class TestConfig:
         capsys.readouterr()
         assert main([command, "--config", str(config)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {key} must be ")
+        assert _files(tmp_path) == before
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("gen", "m", True),
+        ("grid", "trials", True),
+        ("grid", "m_values", [True, 2]),
+        ("solve", "feasibility_tol", False),
+    ])
+    def test_json_boolean_is_not_a_number(self, bundle, tmp_path, capsys, command, key, value):
+        # bool is an int in Python, so a JSON boolean must be refused as
+        # itself, not read as 1 or 0 (0.0 would fail later for another reason)
+        base = {"gen": {"n": 6, "m": 8, "k": 1},
+                "grid": {"n": 4, "m_values": [6], "k_values": [1], "s_values": [0],
+                         "trials": 1}}.get(command, {"bundle": str(bundle)})
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**base, "out": str(tmp_path / "out"), key: value}))
+        before = _files(tmp_path)
+        capsys.readouterr()
+        assert main([command, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be ") and f"got {value!r}" in err
         assert _files(tmp_path) == before

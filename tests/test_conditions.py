@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,10 +6,11 @@ import pytest
 
 from sl1 import conditions, core
 from sl1.conditions import SearchBudget
-from sl1.generators import gen_gaussian_matrix
+from sl1.generators import gen_gaussian_matrix, make_instance
 from sl1.rng import RngSpec, Stream
 
 from oracles import (ascend_sphere_scalar, cross_deviation_disjoint_max_k1,
+                     k1_exact_cross_deviation, k1_exact_norm_deviation,
                      norm_deviation_on_angle_grid)
 
 NU = math.sqrt(2.0 / math.pi)
@@ -204,7 +206,8 @@ class TestCrossSearch:
     @pytest.mark.parametrize("case", ["sampled", "exhaustive"])
     def test_golden_values(self, case):
         # pinned output, witness supports included: how an ascent step
-        # is evaluated must not change a byte of it
+        # (sampled, k = 2) or an arc (exhaustive, k = 1; one evaluation
+        # per arc and pair) is evaluated must not change a byte of it
         if case == "sampled":
             phi = gen_gaussian_matrix(30, 12, RngSpec(5))
             part = conditions.estimate_cross_deviation(
@@ -214,7 +217,7 @@ class TestCrossSearch:
         else:
             phi = gen_gaussian_matrix(40, 6, RngSpec(17))
             part = conditions.estimate_cross_deviation(phi, 1, SearchBudget(), RngSpec(18))
-            expected = (0.49344643195405047, 11640, 60, {"disjoint": 60, "overlap": 0},
+            expected = (0.49344643195405047, 4800, 60, {"disjoint": 60, "overlap": 0},
                         [2, 4], [0])
         w = part.witness
         assert (part.value, part.samples, part.visited, part.families,
@@ -226,6 +229,139 @@ class TestCrossSearch:
         with pytest.raises(ValueError):
             conditions.estimate_cross_deviation(
                 phi, 2, SearchBudget(overlap_share=0.0), RngSpec(22))
+
+
+def _toy_matrix(t):
+    # the criterion-4 toy matrices
+    return make_instance(8, 400, 1, {"kind": "sparse", "s": 40, "scale": 1.0},
+                         {"kind": "sparse", "amplitude": "gaussian"}, RngSpec(60221, t)).phi
+
+
+def _grid_oracles(phi):
+    """Dense-angle-grid maxima of both deviations at k = 1."""
+    n = phi.shape[1]
+    supports = list(itertools.combinations(range(n), 2))
+    norm = max(norm_deviation_on_angle_grid(phi, su, NU) for su in supports)
+    cross = max(cross_deviation_disjoint_max_k1(phi, su, [j])
+                for su in supports for j in range(n) if j not in su)
+    return norm, cross
+
+
+class TestExactK1:
+    # (norm, cross) that the multi-start ascent reported on the toy
+    # matrices with SearchBudget(starts=6, steps=40) before the arc
+    # enumeration replaced it at k = 1.  Its norm values on t = 0 and 5
+    # sit about 1.4e-16 above the exact supremum (rounding in
+    # l1_norm_deviation at its witness), so the bound allows 1e-15.
+    ASCENT = [(0.06851778527103491, 0.17389378891054577),
+              (0.08848477227967, 0.17342256330689204),
+              (0.0965253361071664, 0.22629829328697426),
+              (0.09002088729212687, 0.17583891555834408),
+              (0.09989727530607662, 0.15889532423443403),
+              (0.09648655101333992, 0.18774566647067648)]
+
+    @pytest.mark.parametrize("t", range(6))
+    def test_toy_matrices_match_arc_oracles(self, t):
+        phi = _toy_matrix(t)
+        budget = SearchBudget(starts=6, steps=40)
+        norm = conditions.estimate_norm_deviation(phi, 1, budget, RngSpec(60222, t).child(1))
+        cross = conditions.estimate_cross_deviation(phi, 1, budget, RngSpec(60222, t).child(2))
+        assert abs(norm.value - k1_exact_norm_deviation(phi, NU)) <= 1e-12
+        assert abs(cross.value - k1_exact_cross_deviation(phi)) <= 1e-12
+        ascent_norm, ascent_cross = self.ASCENT[t]
+        assert norm.value >= ascent_norm - 1e-15
+        assert cross.value >= ascent_cross
+        assert (norm.visited, norm.total, cross.visited, cross.total) == (28, 28, 168, 168)
+        assert norm.exhaustive and cross.exhaustive
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_matrices_match_arc_oracles(self, seed):
+        phi = gen_gaussian_matrix(40, 6, RngSpec(900, seed))
+        est = conditions.estimate_conditions(phi, 1, SearchBudget(), RngSpec(seed))
+        assert abs(est.norm_dev_lower - k1_exact_norm_deviation(phi, NU)) <= 1e-12
+        assert abs(est.cross_dev_lower - k1_exact_cross_deviation(phi)) <= 1e-12
+        assert est.refinement == "exact-arcs" and est.exhaustive
+        assert est.verify(phi)
+
+    def test_toy_verdicts(self):
+        verdicts = []
+        for t in range(6):
+            est = conditions.estimate_conditions(_toy_matrix(t), 1,
+                                                 SearchBudget(starts=6, steps=40),
+                                                 RngSpec(60222, t))
+            verdicts.append(conditions.condition_verdict(est))
+        assert verdicts == ["satisfied"] * 2 + ["violated"] + ["satisfied"] * 3
+
+    def test_sampled_mode_solves_each_drawn_support(self):
+        # supports come off the stream as before, with no start vectors
+        # between them, and each is solved exactly
+        phi = gen_gaussian_matrix(40, 6, RngSpec(901))
+        budget = SearchBudget(supports=7, exhaustive_cap=0)
+        part = conditions.estimate_norm_deviation(phi, 1, budget, RngSpec(3))
+        stream = Stream(RngSpec(3).child(0))
+        drawn = [stream.subset(6, 2) for _ in range(budget.supports)]
+        best = max(k1_exact_norm_deviation(phi[:, sup], NU) for sup in drawn)
+        assert not part.exhaustive and part.visited == 7
+        assert abs(part.value - best) <= 1e-12
+        assert part.witness.u_indices in [sup.tolist() for sup in drawn]
+
+    def test_sampled_cross_families_and_witness(self):
+        phi = gen_gaussian_matrix(40, 6, RngSpec(902))
+        part = conditions.estimate_cross_deviation(
+            phi, 1, SearchBudget(pairs=50, exhaustive_cap=0), RngSpec(4))
+        assert part.families["disjoint"] + part.families["overlap"] == 50
+        assert part.families["overlap"] > 0
+        assert part.value <= k1_exact_cross_deviation(phi) + 1e-12
+        w = part.witness
+        value = conditions.sign_cross_deviation(phi, w.u_vector(6), w.v_vector(6))
+        assert value == part.value and w.v_coeffs == [1.0]
+
+    def test_overlap_pair_closed_form(self):
+        # S_v = {j} inside S_u forces u = +-e_i: |sign(+-phi_i) . phi_j| / M
+        phi = gen_gaussian_matrix(30, 4, RngSpec(903))
+        phi[:5, 0] = 0.0  # sign(0) = -1 tells u = e_0 from u = -e_0
+        val, zu = conditions._cross_overlap_k1(phi, np.array([0, 2]), 2)
+        plus = abs(core.sign_vec(phi[:, 0]) @ phi[:, 2]) / 30
+        minus = abs(core.sign_vec(-phi[:, 0]) @ phi[:, 2]) / 30
+        assert val == max(plus, minus)
+        assert zu.tolist() == ([1.0, 0.0] if plus >= minus else [-1.0, 0.0])
+
+
+def _degenerate(kind):
+    phi = gen_gaussian_matrix(40, 5, RngSpec(904))
+    if kind == "zero-row":
+        phi[7] = 0.0
+    elif kind == "zero-column":
+        # u = e_2 sends every sign to sign(0) = -1, a pattern that lives
+        # only at breakpoints of the supports holding column 2
+        phi[:, 2] = 0.0
+        phi[:, 3] = np.abs(phi[:, 3])
+    elif kind == "duplicate-column":
+        phi[:, 4] = phi[:, 1]
+    else:
+        phi = gen_gaussian_matrix(1, 5, RngSpec(904))
+    return phi
+
+
+class TestDegenerateK1:
+    @pytest.mark.parametrize("kind", ["zero-row", "zero-column", "duplicate-column", "m=1"])
+    def test_finite_verified_and_not_below_grid(self, kind):
+        phi = _degenerate(kind)
+        est = conditions.estimate_conditions(phi, 1, SearchBudget(), RngSpec(5))
+        assert math.isfinite(est.norm_dev_lower) and math.isfinite(est.cross_dev_lower)
+        assert est.verify(phi)
+        grid_norm, grid_cross = _grid_oracles(phi)
+        assert est.norm_dev_lower >= grid_norm - 1e-12
+        assert est.cross_dev_lower >= grid_cross - 1e-12
+
+    def test_all_negative_pattern_found_at_a_breakpoint(self):
+        phi = _degenerate("zero-column")
+        part = conditions.estimate_cross_deviation(phi, 1, SearchBudget(), RngSpec(6))
+        assert part.value == pytest.approx(float(np.sum(phi[:, 3])) / 40, abs=1e-15)
+        assert part.witness.v_indices == [3]
+        # the angle grid meets that pattern only where it samples the
+        # breakpoint exactly, and the arc midpoints never do
+        assert part.value > k1_exact_cross_deviation(phi) + 0.1
 
 
 class TestVerdict:
