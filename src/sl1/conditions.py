@@ -23,17 +23,19 @@ vanishes, and the searches enumerate the arcs between them in closed
 form, so an exhaustive "satisfied" verdict at k = 1 is a proof.  At
 k >= 2 the per-support maximization is a multi-start ascent heuristic,
 and "satisfied" certifies the support enumeration with that caveat.
+There every (support or pair, start) climbs as a lane of one batched
+ascent (_ascend), BLOCK items at a time.
 """
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import core
 from .generators import gen_gaussian_matrix
-from .rng import RngSpec, Stream
+from .rng import CHILD_TAGS, RngSpec, Stream
 
 VERDICT_SATISFIED = "satisfied"
 VERDICT_VIOLATED = "violated"
@@ -96,6 +98,8 @@ class SearchBudget:
         counts = (self.supports, self.pairs, self.starts, self.steps, self.exhaustive_cap)
         if min(counts) < 0:
             raise ValueError("search budget counts must be nonnegative")
+        if max(self.pairs, self.exhaustive_cap) >= CHILD_TAGS ** 2:  # see _pair_draws
+            raise ValueError(f"pairs and exhaustive_cap must be below {CHILD_TAGS ** 2}")
         if not 0.0 <= self.overlap_share <= 1.0:
             raise ValueError(f"overlap_share must lie in [0, 1], got {self.overlap_share}")
 
@@ -120,12 +124,7 @@ class DeviationWitness:
         return core.embed(self.v_coeffs, self.v_indices, n)
 
     def as_dict(self) -> dict:
-        out = {"value": self.value,
-               "u_indices": list(self.u_indices), "u_coeffs": list(self.u_coeffs)}
-        if self.v_indices is not None:
-            out["v_indices"] = list(self.v_indices)
-            out["v_coeffs"] = list(self.v_coeffs)
-        return out
+        return {key: value for key, value in asdict(self).items() if value is not None}
 
 
 @dataclass
@@ -141,66 +140,131 @@ class SearchPart:
     families: dict | None = None  # cross search: pairs per sampling family
 
 
-def _ascend_lanes(bsub, nu, z0, directions, steps):
-    """Hill-climb directions[j] * ((1/M)||B z_j||_1 - nu) over the unit
-    sphere from every column z0[:, j] at once, one product with B per
-    step for all lanes.
+# Items (supports or pairs) climbed per batch: it bounds the batch
+# arrays whatever the enumeration size, and no result depends on it.
+BLOCK = 64
 
-    Each lane keeps its own step size and stops on its own, when its
-    projected gradient vanishes or its step size falls below 1e-9; a
-    stopped lane no longer changes.  Returns the unit columns, |objective|
-    and the objective evaluations of every lane.
-    """
-    m = bsub.shape[0]
-    z = z0 / np.sqrt(np.sum(z0 * z0, axis=0))
-    bz = bsub @ z
-    val = np.sum(np.abs(bz), axis=0) / m - nu
-    eta = np.full(z.shape[1], 0.5)
-    evals = np.ones(z.shape[1], dtype=np.int64)
-    live = np.ones(z.shape[1], dtype=bool)
-    for _ in range(steps):
-        grad = directions * (bsub.T @ np.sign(bz)) / m
-        grad -= np.sum(grad * z, axis=0) * z
-        gnorm = np.sqrt(np.sum(grad * grad, axis=0))
-        live &= gnorm >= 1e-14
+
+def _blocks(items):
+    items = iter(items)
+    while block := list(itertools.islice(items, BLOCK)):
+        yield block
+
+
+def _stacked(phi, sets):
+    """phi[:, sets[i]] for every row i of sets, as one (items, M, width)
+    array whose slices share phi[:, S]'s column-major layout."""
+    return phi.T[sets].transpose(0, 2, 1)
+
+
+def _unit(z):
+    return z / np.sqrt(np.sum(z * z, axis=1, keepdims=True))
+
+
+def _ascend(objective, propose, z, steps):
+    """Hill-climb every lane z[i, :, j] over the unit sphere at once.
+
+    objective(z) -> (score, state) and propose(t, z, state, eta) -> (step
+    t's candidates, lanes that can still move).  A lane keeps a candidate
+    only if its score rises strictly (eta grows by 1.3, to at most 1),
+    else halves eta; it stops when it cannot move or eta < 1e-9.  A start
+    with squared norm below 1e-24 becomes all ones.
+    Returns (z, score, state, evaluations) per lane."""
+    z = _unit(np.where(np.sum(z * z, axis=1, keepdims=True) >= 1e-24, z, 1.0))
+    val, state = objective(z)
+    eta = np.full(val.shape, 0.5)
+    evals = np.ones(val.shape, dtype=np.int64)
+    live = np.ones(val.shape, dtype=bool)
+    for t in range(steps):
+        cand, movable = propose(t, z, state, eta)
+        live &= movable
         if not live.any():
             break
-        cand = z + (eta / np.where(live, gnorm, 1.0)) * grad
-        cand /= np.sqrt(np.sum(cand * cand, axis=0))
-        bcand = bsub @ cand
-        cval = np.sum(np.abs(bcand), axis=0) / m - nu
+        cval, cstate = objective(cand)
         evals += live
-        up = live & (directions * cval > directions * val)
+        up = live & (cval > val)
         down = live & ~up
-        z = np.where(up, cand, z)
-        bz = np.where(up, bcand, bz)
+        z = np.where(up[:, None], cand, z)
+        state = np.where(up[:, None], cstate, state)
         val = np.where(up, cval, val)
         eta = np.where(up, np.minimum(eta * 1.3, 1.0), np.where(down, eta * 0.5, eta))
         live &= ~(down & (eta < 1e-9))
-    return z, np.abs(val), evals
+    return z, val, state, evals
 
 
-def _search(items, climb):
-    """Climb from every item in order and keep the best ascent.
+def _norm_lanes(b, nu, z0, directions, steps):
+    """Climb directions[j] * ((1/M)||b[i] z||_1 - nu), b[i] = phi[:, S_i],
+    from every start z0[i, :, j] by normalised projected-gradient steps.
+    Returns (z, |objective|, evaluations) per lane."""
+    m = b.shape[1]
 
-    climb(item) draws the item's starts from the search stream and
-    yields (value, candidate, evals) per ascent, in start order; the
-    exact k = 1 solvers draw nothing and yield one triple per item.
-    Candidates of None never win, and an equal later value does not
-    replace an earlier one, so the first maximum wins.  Sampled-mode
-    callers pass a lazy generator over the same stream, so item draws
-    interleave with the ascent starts and a larger budget extends a
-    smaller one's sample sequence.
-    Returns (best candidate or None, evals, items visited).
-    """
-    best_val, best, evals, visited = -1.0, None, 0, 0
-    for item in items:
-        visited += 1
-        for val, cand, used in climb(item):
-            evals += used
-            if cand is not None and val > best_val:
-                best_val, best = val, cand
+    def objective(z):
+        bz = b @ z
+        return directions * (np.sum(np.abs(bz), axis=1) / m - nu), bz
+
+    def propose(t, z, bz, eta):
+        grad = directions * (b.transpose(0, 2, 1) @ np.sign(bz)) / m
+        grad -= np.sum(grad * z, axis=1, keepdims=True) * z
+        gnorm = np.sqrt(np.sum(grad * grad, axis=1))
+        movable = gnorm >= 1e-14
+        return _unit(z + (eta / np.where(movable, gnorm, 1.0))[:, None] * grad), movable
+
+    z, score, _, evals = _ascend(objective, propose, z0, steps)
+    return z, np.abs(score), evals
+
+
+def _cross_lanes(bu, bv, sel, z0, directions):
+    """Climb pair i's sign correlation from every start z0[i, :, j], step
+    t trying z + eta * directions[i, t, :, j].  bu[i] = phi[:, S_u],
+    bv[i] = phi[:, S_v], and sel[i, a, b] = 1 where S_v[a] = S_u[b].  For
+    unit u = z on S_u the best unit v on S_v orthogonal to u is
+    phi_Sv^T sign(phi_Su z) (sign(0) = -1) projected off u's part on
+    S_v, worth its norm / M.  Returns (z, value, unit v, evaluations)
+    per lane; value -inf marks a lane whose vector vanished (no witness)."""
+    m = bu.shape[1]
+
+    def objective(z):
+        c = bv.transpose(0, 2, 1) @ np.where(bu @ z > 0.0, 1.0, -1.0)
+        a = sel @ z
+        a_sq = np.sum(a * a, axis=1, keepdims=True)
+        a_sq[a_sq == 0.0] = 1.0  # a = 0 there: nothing to project off
+        for _ in range(2):  # the second pass kills rounding residue
+            c = c - (np.sum(c * a, axis=1, keepdims=True) / a_sq) * a
+        c_norm = np.sqrt(np.sum(c * c, axis=1))
+        found = c_norm >= 1e-14
+        return np.where(found, c_norm / m, -math.inf), c / np.where(found, c_norm, 1.0)[:, None]
+
+    def propose(t, z, v, eta):
+        return _unit(z + eta[:, None] * directions[:, t]), True
+
+    return _ascend(objective, propose, z0, directions.shape[1])
+
+
+def _search(blocks, climb):
+    """Climb every block of items in order; the first maximum wins.
+
+    climb(block) -> (values, evals, pick): values is an (items, lanes)
+    array in item and lane order, -inf for a lane without a witness,
+    and pick(i, j) gives item i's lane-j candidate.
+    Returns (best candidate or None, evals, items visited)."""
+    best_val, best, evals, visited = -math.inf, None, 0, 0
+    for block in blocks:
+        vals, used, pick = climb(block)
+        i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        if vals[i, j] > best_val:
+            best_val, best = vals[i, j], pick(i, j)
+        evals += int(used)
+        visited += len(block)
     return best, evals, visited
+
+
+def _each(solve):
+    """Block climb of an exact solve(item) -> (value, candidate, evals)."""
+    def climb(block):
+        found = [solve(item) for item in block]
+        return (np.array([[f[0]] for f in found]), sum(f[2] for f in found),
+                lambda i, _: found[i][1])
+    return climb
 
 
 # Breakpoints closer than this (radians) count as one: no float witness
@@ -321,10 +385,10 @@ def estimate_norm_deviation(phi, k: int, budget: SearchBudget, rng: RngSpec) -> 
     most 2k nonzeros, by support enumeration (when the count fits the
     budget cap) or sampled supports, drawn in order on one stream,
     rng.child(0).  At 2k = 2 each support is maximized exactly over its
-    arcs (_norm_on_arcs) and no start vectors are drawn.  At 2k >= 4 a
-    multi-start sphere ascent runs in both directions: after a support's
-    `starts` start vectors are drawn, its 2 * starts ascents (up and down
-    from each start) climb together as lanes of one batch."""
+    arcs (_norm_on_arcs) and no start vectors are drawn.  At 2k >= 4 each
+    support's `starts` start vectors follow it on the stream, and the
+    2 * starts ascents of every support (up and down from each start)
+    climb as lanes of one batch."""
     phi = core.as_matrix(phi, "phi")
     m, n = phi.shape
     k = int(k)
@@ -346,57 +410,41 @@ def estimate_norm_deviation(phi, k: int, budget: SearchBudget, rng: RngSpec) -> 
     else:
         supports = (stream.subset(n, width) for _ in range(budget.supports))
 
+    def exact(sup):
+        val, z, arcs = _norm_on_arcs(phi[:, sup], nu)
+        return val, (sup, z), arcs
+
+    draws = ((sup, np.stack([stream.normal(width) for _ in range(budget.starts)], axis=1))
+             for sup in supports)
     # lane 2j climbs up from start j, lane 2j + 1 down from it
     directions = np.tile([1.0, -1.0], budget.starts)
 
-    def exact(sup):
-        val, z, arcs = _norm_on_arcs(phi[:, sup], nu)
-        yield val, (sup, z), arcs
+    def climb(block):
+        sups, starts = map(np.array, zip(*block))
+        z, vals, used = _norm_lanes(_stacked(phi, sups), nu, np.repeat(starts, 2, axis=2),
+                                    directions, budget.steps)
+        return vals, used.sum(), lambda i, j: (sups[i], z[i, :, j])
 
-    def climb(sup):
-        z0 = np.empty((width, budget.starts))
-        for j in range(budget.starts):
-            z = stream.normal(width)
-            z0[:, j] = z if float(z @ z) >= 1e-24 else 1.0
-        z, vals, used = _ascend_lanes(phi[:, sup], nu, np.repeat(z0, 2, axis=1),
-                                      directions, budget.steps)
-        for lane in range(directions.size):
-            yield float(vals[lane]), (sup, z[:, lane]), int(used[lane])
-
-    best, evals, visited = _search(supports, exact if width == 2 else climb)
+    if width == 2:
+        best, evals, visited = _search(_blocks(supports), _each(exact))
+    else:
+        best, evals, visited = _search(_blocks(draws), climb)
     witness = None
-    value = 0.0
-    if best is not None:
+    if best is not None:  # re-evaluate through the public path
         sup, z = best
-        u = core.embed(z, sup, n)
-        value = l1_norm_deviation(phi, u)  # re-evaluate through the public path
-        witness = DeviationWitness(value=value,
-                                   u_indices=[int(i) for i in sup],
-                                   u_coeffs=[float(c) for c in z])
-    return SearchPart(value, witness, evals, visited, total, exhaustive)
+        witness = DeviationWitness(l1_norm_deviation(phi, core.embed(z, sup, n)),
+                                   sup.tolist(), z.tolist())
+    return SearchPart(witness.value if witness else 0.0, witness, evals, visited, total,
+                      exhaustive)
 
 
-def _best_cross_v(bu, bv, shared, zu):
-    """Closed-form best unit v on S_v orthogonal to a fixed unit u on
-    S_u: project phi_sv^T sign(phi u) orthogonally to u restricted to S_v.
-
-    bu = phi[:, S_u] and bv = phi[:, S_v]; shared is None for disjoint
-    supports, else (positions in S_v, positions in S_u) of the indices
-    the two supports have in common.  Returns (value, unit v or None).
-    """
-    m = bu.shape[0]
-    c = bv.T @ np.where(bu @ zu > 0.0, 1.0, -1.0)  # sign(0) = -1, as core.sign_vec
-    if shared is not None:
-        a = np.zeros(bv.shape[1])
-        a[shared[0]] = zu[shared[1]]
-        a_sq = float(a @ a)
-        if a_sq > 0.0:
-            c = c - (float(c @ a) / a_sq) * a
-            c = c - (float(c @ a) / a_sq) * a  # second pass kills rounding residue
-    c_norm = math.sqrt(float(c @ c))
-    if c_norm < 1e-14:
-        return 0.0, None
-    return c_norm / m, c / c_norm
+def _pair_draws(spec, index, starts, steps, width):
+    """Pair `index`'s starts (row 0) and step directions (row t + 1), as
+    (steps + 1, width, starts), in one call on a stream of its own; the
+    key takes two child levels, as one child tag ends below CHILD_TAGS."""
+    hi, lo = divmod(index, CHILD_TAGS)
+    draws = Stream(spec.child(hi).child(lo)).normal((steps + 1) * starts * width)
+    return draws.reshape(steps + 1, starts, width).transpose(0, 2, 1)
 
 
 def _sample_pair(stream, n, k, overlap_share, disjoint_ok):
@@ -428,15 +476,16 @@ def estimate_cross_deviation(phi, k: int, budget: SearchBudget, rng: RngSpec) ->
     Pairs come from two families: disjoint supports (orthogonal by
     construction; enumerated exactly in exhaustive mode) and overlapping
     supports with v projected onto the orthogonal complement of u inside
-    its own support.  The family mix is recorded in the result.  Pairs,
-    starts and the random-direction ascent on u all run in order on one
-    stream, rng.child(0).  At k = 1 each pair is solved exactly and no
-    starts are drawn: a disjoint pair's value is constant on each arc of
-    the S_u circle (_cross_candidates, swept once per S_u and read for
-    every S_v), and an overlapping pair forces u = +-e_i
+    its own support.  The family mix is recorded in the result.  Pairs
+    are drawn in order on rng.child(0).  At k = 1 each pair is solved
+    exactly and no starts are drawn: a disjoint pair's value is constant
+    on each arc of the S_u circle (_cross_candidates, swept once per S_u
+    and read for every S_v), and an overlapping pair forces u = +-e_i
     (_cross_overlap_k1); v is the unit vector e_j of S_v = {j}.  At
-    k >= 2 the columns of phi on S_u and S_v are sliced once per pair,
-    and every ascent step is evaluated on those blocks.
+    k >= 2 u climbs by random-direction steps: each pair's starts and
+    directions come from a stream keyed by the pair's index under
+    rng.child(1) (_pair_draws), so a larger pair budget extends a smaller
+    one exactly, and every (pair, start) climbs as a lane of one batch.
     """
     phi = core.as_matrix(phi, "phi")
     m, n = phi.shape
@@ -450,8 +499,7 @@ def estimate_cross_deviation(phi, k: int, budget: SearchBudget, rng: RngSpec) ->
             "and overlapping pairs are disabled")
     total = math.comb(n, 2 * k) * math.comb(n - 2 * k, k) if disjoint_ok else None
     engaged = budget.starts >= 1 and budget.pairs >= 1
-    exhaustive = (engaged and disjoint_ok and total is not None
-                  and total <= budget.exhaustive_cap)
+    exhaustive = engaged and disjoint_ok and total <= budget.exhaustive_cap
     families = {"disjoint": 0, "overlap": 0}
 
     if not engaged:
@@ -481,8 +529,7 @@ def estimate_cross_deviation(phi, k: int, budget: SearchBudget, rng: RngSpec) ->
         j = int(sv[0])
         if j in su:
             val, zu = _cross_overlap_k1(phi, su, j)
-            yield val, (su, zu, sv, np.ones(1)), 2
-            return
+            return val, (su, zu, sv, np.ones(1)), 2
         if exhaustive:
             if swept[0] is not su:
                 swept[:] = su, _cross_candidates(phi[:, su], phi)
@@ -492,48 +539,28 @@ def estimate_cross_deviation(phi, k: int, budget: SearchBudget, rng: RngSpec) ->
             zs, vals = _cross_candidates(phi[:, su], phi[:, sv])
             vals = vals[:, 0]
         best = int(np.argmax(vals))
-        yield float(vals[best]), (su, zs[best], sv, np.ones(1)), vals.size
+        return float(vals[best]), (su, zs[best], sv, np.ones(1)), vals.size
 
-    def climb(pair):
-        su, sv = pair
-        bu, bv = phi[:, su], phi[:, sv]
-        in_u = np.isin(sv, su)
-        shared = (np.nonzero(in_u)[0], np.searchsorted(su, sv[in_u])) if in_u.any() else None
-        for _ in range(budget.starts):
-            zu = stream.normal(su.size)
-            zn = math.sqrt(float(zu @ zu))
-            zu = zu / zn if zn > 1e-12 else np.ones(su.size) / math.sqrt(su.size)
-            val, zv = _best_cross_v(bu, bv, shared, zu)
-            evals = 1
-            eta = 0.5
-            for _ in range(budget.steps):
-                cand = zu + eta * stream.normal(su.size)
-                cand /= math.sqrt(float(cand @ cand))
-                cval, czv = _best_cross_v(bu, bv, shared, cand)
-                evals += 1
-                if cval > val:
-                    zu, val, zv = cand, cval, czv
-                    eta = min(eta * 1.3, 1.0)
-                else:
-                    eta *= 0.5
-                    if eta < 1e-9:
-                        break
-            yield val, None if zv is None else (su, zu, sv, zv), evals
+    def climb(block):
+        su, sv = map(np.array, zip(*(pair for _, pair in block)))
+        draws = np.stack([_pair_draws(rng.child(1), index, budget.starts, budget.steps, 2 * k)
+                          for index, _ in block])
+        sel = (sv[:, :, None] == su[:, None, :]).astype(float)
+        zu, vals, zv, used = _cross_lanes(_stacked(phi, su), _stacked(phi, sv), sel,
+                                          draws[:, 0], draws[:, 1:])
+        return vals, used.sum(), lambda i, j: (su[i], zu[i, :, j], sv[i], zv[i, :, j])
 
-    best, evals, visited = _search(pairs(), exact if k == 1 else climb)
+    if k == 1:
+        best, evals, visited = _search(_blocks(pairs()), _each(exact))
+    else:
+        best, evals, visited = _search(_blocks(enumerate(pairs())), climb)
     witness = None
-    value = 0.0
     if best is not None:
         su, zu, sv, zv = best
-        u = core.embed(zu, su, n)
-        v = core.embed(zv, sv, n)
-        value = sign_cross_deviation(phi, u, v)
-        witness = DeviationWitness(value=value,
-                                   u_indices=[int(i) for i in su],
-                                   u_coeffs=[float(c) for c in zu],
-                                   v_indices=[int(i) for i in sv],
-                                   v_coeffs=[float(c) for c in zv])
-    return SearchPart(value, witness, evals, visited, total, exhaustive, families)
+        value = sign_cross_deviation(phi, core.embed(zu, su, n), core.embed(zv, sv, n))
+        witness = DeviationWitness(value, su.tolist(), zu.tolist(), sv.tolist(), zv.tolist())
+    return SearchPart(witness.value if witness else 0.0, witness, evals, visited, total,
+                      exhaustive, families)
 
 
 @dataclass
@@ -567,26 +594,11 @@ class ConditionEstimate:
         def part_dict(part):
             if part is None:
                 return None
-            return {
-                "value": part.value,
-                "witness": part.witness.as_dict() if part.witness else None,
-                "samples": part.samples,
-                "visited": part.visited,
-                "total": part.total,
-                "exhaustive": part.exhaustive,
-                "families": part.families,
-            }
-        return {
-            "calibration": self.calibration,
-            "norm_dev_lower": self.norm_dev_lower,
-            "cross_dev_lower": self.cross_dev_lower,
-            "k": self.k,
-            "samples": self.samples,
-            "refinement": self.refinement,
-            "exhaustive": self.exhaustive,
-            "norm_search": part_dict(self.norm_part),
-            "cross_search": part_dict(self.cross_part),
-        }
+            return dict(asdict(part), witness=part.witness.as_dict() if part.witness else None)
+        scalars = ("calibration", "norm_dev_lower", "cross_dev_lower", "k", "samples",
+                   "refinement", "exhaustive")
+        return dict({name: getattr(self, name) for name in scalars},
+                    norm_search=part_dict(self.norm_part), cross_search=part_dict(self.cross_part))
 
 
 def estimate_conditions(phi, k: int, budget: SearchBudget, rng: RngSpec) -> ConditionEstimate:
@@ -684,15 +696,7 @@ class ConcentrationReport:
     max_dev_cross: float
 
     def as_dict(self) -> dict:
-        return {
-            "params": self.params,
-            "trials": self.trials,
-            "violation_rate_norm": self.violation_rate_norm,
-            "violation_rate_cross": self.violation_rate_cross,
-            "mean_l1_ratio": self.mean_l1_ratio,
-            "max_dev_norm": self.max_dev_norm,
-            "max_dev_cross": self.max_dev_cross,
-        }
+        return asdict(self)
 
 
 def concentration_check(n: int, m: int, k: int, delta: float, trials: int,
@@ -713,8 +717,6 @@ def concentration_check(n: int, m: int, k: int, delta: float, trials: int,
     nu = half_normal_mean()
 
     records = []
-    total_norm_viol = 0
-    total_cross_viol = 0
     ratio_sum = 0.0
     max_dev_norm = 0.0
     max_dev_cross = 0.0
@@ -744,8 +746,6 @@ def concentration_check(n: int, m: int, k: int, delta: float, trials: int,
             cross = abs(float(signs @ (phi[:, sv] @ zv))) / m
             max_dev_cross = max(max_dev_cross, cross)
             cross_viol += cross > delta
-        total_norm_viol += norm_viol
-        total_cross_viol += cross_viol
         ratio_sum += trial_ratio
         records.append({
             "trial": t,
@@ -759,8 +759,8 @@ def concentration_check(n: int, m: int, k: int, delta: float, trials: int,
         params={"n": n, "m": m, "k": k, "delta": delta, "trials": trials,
                 "samples_per_trial": samples_per_trial, "rng": rng.as_dict()},
         trials=records,
-        violation_rate_norm=total_norm_viol / total,
-        violation_rate_cross=total_cross_viol / total,
+        violation_rate_norm=sum(r["violations_norm"] for r in records) / total,
+        violation_rate_cross=sum(r["violations_cross"] for r in records) / total,
         mean_l1_ratio=ratio_sum / total,
         max_dev_norm=max_dev_norm,
         max_dev_cross=max_dev_cross,

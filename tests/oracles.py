@@ -239,6 +239,52 @@ def ascend_sphere_scalar(bsub, nu, z0, direction, steps):
     return z, abs(val), evals
 
 
+def cross_climb_scalar(bu, bv, sel, z0, directions):
+    """One random-direction climb of the sign correlation of a support
+    pair over unit u = z on S_u, from z0.
+
+    bu = phi[:, S_u], bv = phi[:, S_v], sel[a, b] = 1 where S_v[a] =
+    S_u[b].  For a fixed z the best unit v on S_v orthogonal to u is
+    c = bv^T sign(bu z) (sign(0) = -1) with u's part on S_v projected
+    off (twice), scaled to unit length; its value is ||c|| / M, or none
+    when ||c|| < 1e-14.  Step t tries z + eta * directions[t],
+    normalised, and keeps it on a strict improvement (eta grows by 1.3,
+    at most 1), else halves eta and stops once eta < 1e-9.
+    Returns (unit z, value or -inf, unit v or None, evaluations)."""
+    m = bu.shape[0]
+
+    def best_v(z):
+        c = bv.T @ np.where(bu @ z > 0.0, 1.0, -1.0)
+        a = np.zeros(bv.shape[1])
+        for row, col in zip(*np.nonzero(sel)):
+            a[row] = z[col]
+        a_sq = float(a @ a)
+        if a_sq > 0.0:
+            for _ in range(2):
+                c = c - (float(c @ a) / a_sq) * a
+        c_norm = math.sqrt(float(c @ c))
+        if c_norm < 1e-14:
+            return -math.inf, None
+        return c_norm / m, c / c_norm
+
+    z = z0 / math.sqrt(float(z0 @ z0))
+    val, v = best_v(z)
+    eta, evals = 0.5, 1
+    for step in directions:
+        cand = z + eta * step
+        cand /= math.sqrt(float(cand @ cand))
+        cval, cv = best_v(cand)
+        evals += 1
+        if cval > val:
+            z, val, v = cand, cval, cv
+            eta = min(eta * 1.3, 1.0)
+        else:
+            eta *= 0.5
+            if eta < 1e-9:
+                break
+    return z, val, v, evals
+
+
 def simplex_full_tableau(c, a, b, max_pivots=100_000, tol=1e-9):
     """Dense one-phase simplex on the full tableau [a | I | b], slack
     basis at the origin (b >= 0), Dantzig pricing with exact ties to the

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -232,7 +234,7 @@ class TestConditions:
 
     @pytest.mark.parametrize("flag, value", [
         ("--supports", "-5"), ("--starts", "-1"), ("--steps", "-3"),
-        ("--overlap-share", "1.5")])
+        ("--overlap-share", "1.5"), ("--pairs", str(65535 ** 2))])
     def test_out_of_range_budget_exits_2(self, bundle, tmp_path, flag, value):
         out = tmp_path / "cond.json"
         assert main(["conditions", "--bundle", str(bundle), "--out", str(out),
@@ -269,21 +271,63 @@ class TestConditions:
         assert out.read_bytes() == first
 
 
-    def test_k3_sampled_output_bytes_pinned(self, tmp_path, monkeypatch):
-        # The two 60x200 k = 3 matrices of the benchmark's conditions
-        # workload run the sampled sphere ascent, which the exact k = 1
-        # path must leave alone: same bytes, digests taken before it.
+    # sha256 prefixes of the two searches' JSON (sort_keys) on the
+    # benchmark's two 60x200 k = 3 matrices.  The norm search's were
+    # recorded before its lanes were batched across supports and must not
+    # move; the cross search's come from its per-pair lane streams.
+    NORM_SEARCH = ["0345a4ede5717829", "0f88ccc2be8dc96c"]
+    CROSS_SEARCH = ["a166afc506ab4638", "6f0f869ab53d3b40"]
+    K3_FILES = ["780cffcf17e7a4a2", "83472ffb74487c09"]
+
+    @staticmethod
+    def _k3_bench_outputs(tmp_path, monkeypatch):
         from sl1.generators import gen_gaussian_matrix
         from sl1.rng import RngSpec
         monkeypatch.chdir(tmp_path)  # the echoed paths are relative
-        prefixes = ["70eb4412c9c291da", "9fdb21026163f584"]
-        for t, prefix in enumerate(prefixes):
+        for t in range(2):
             matio.write_matrix_bin(f"gauss{t}.bin",
                                    gen_gaussian_matrix(60, 200, RngSpec(17320, t)))
             assert main(["conditions", "--matrix", f"gauss{t}.bin", "--k", "3",
                          "--seed", "60222", "--stream", str(t), "--out", f"gauss{t}.json"]) == 0
-            digest = hashlib.sha256((tmp_path / f"gauss{t}.json").read_bytes()).hexdigest()
-            assert digest[:16] == prefix
+            yield (tmp_path / f"gauss{t}.json").read_bytes()
+
+    @staticmethod
+    def _part_digest(data, part):
+        doc = json.loads(data)["estimate"][part]
+        return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
+
+    def test_k3_sampled_norm_search_pinned(self, tmp_path, monkeypatch):
+        digests = [self._part_digest(data, "norm_search")
+                   for data in self._k3_bench_outputs(tmp_path, monkeypatch)]
+        assert digests == self.NORM_SEARCH
+
+    def test_k3_sampled_cross_search_pinned(self, tmp_path, monkeypatch):
+        outputs = list(self._k3_bench_outputs(tmp_path, monkeypatch))
+        assert [self._part_digest(data, "cross_search") for data in outputs] == self.CROSS_SEARCH
+        assert [hashlib.sha256(data).hexdigest()[:16] for data in outputs] == self.K3_FILES
+
+    def test_k3_output_independent_of_block_size(self, tmp_path, monkeypatch):
+        from sl1 import conditions
+        default = list(self._k3_bench_outputs(tmp_path, monkeypatch))
+        monkeypatch.setattr(conditions, "BLOCK", 1)
+        assert list(self._k3_bench_outputs(tmp_path, monkeypatch)) == default
+
+    def test_k3_output_independent_of_blas_threads(self, tmp_path):
+        # fresh processes, as the BLAS thread count is fixed at import
+        import sl1
+        from sl1.generators import gen_gaussian_matrix
+        from sl1.rng import RngSpec
+        matio.write_matrix_bin(str(tmp_path / "phi.bin"),
+                               gen_gaussian_matrix(200, 400, RngSpec(17321)))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.path.dirname(os.path.dirname(sl1.__file__)))
+            subprocess.run([sys.executable, "-m", "sl1", "conditions", "--matrix", "phi.bin",
+                            "--k", "3", "--seed", "8", "--out", "cond.json"],
+                           cwd=tmp_path, env=env, check=True, capture_output=True)
+            outputs.append((tmp_path / "cond.json").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_k1_exhaustive_is_exact_and_replays(self, tmp_path):
         bundle, out = str(tmp_path / "b"), tmp_path / "cond.json"

@@ -7,11 +7,11 @@ import pytest
 from sl1 import conditions, core
 from sl1.conditions import SearchBudget
 from sl1.generators import gen_gaussian_matrix, make_instance
-from sl1.rng import RngSpec, Stream
+from sl1.rng import CHILD_TAGS, RngSpec, Stream
 
-from oracles import (ascend_sphere_scalar, cross_deviation_disjoint_max_k1,
-                     k1_exact_cross_deviation, k1_exact_norm_deviation,
-                     norm_deviation_on_angle_grid)
+from oracles import (ascend_sphere_scalar, cross_climb_scalar,
+                     cross_deviation_disjoint_max_k1, k1_exact_cross_deviation,
+                     k1_exact_norm_deviation, norm_deviation_on_angle_grid)
 
 NU = math.sqrt(2.0 / math.pi)
 
@@ -139,7 +139,8 @@ class TestNormSearch:
         bsub = stream.normal(m * width).reshape(m, width)
         z0 = np.repeat(stream.normal(width * starts).reshape(width, starts), 2, axis=1)
         directions = np.tile([1.0, -1.0], starts)
-        z, vals, evals = conditions._ascend_lanes(bsub, NU, z0, directions, steps)
+        z, vals, evals = conditions._norm_lanes(bsub[None], NU, z0[None], directions, steps)
+        z, vals, evals = z[0], vals[0], evals[0]
         for lane in range(2 * starts):
             ref_z, ref_val, ref_evals = ascend_sphere_scalar(
                 bsub, NU, z0[:, lane], directions[lane], steps)
@@ -149,6 +150,18 @@ class TestNormSearch:
         if steps > 40:
             # some lanes stop early, on their own
             assert evals.min() <= steps and len(set(evals.tolist())) > 1
+
+    def test_lanes_of_several_supports_climb_independently(self):
+        # a stack of supports gives each support the lanes it gets alone
+        stream = Stream(RngSpec(77))
+        b = stream.normal(5 * 40 * 4).reshape(5, 40, 4)
+        z0 = stream.normal(5 * 4 * 6).reshape(5, 4, 6)
+        directions = np.tile([1.0, -1.0], 3)
+        stacked = conditions._norm_lanes(b, NU, z0, directions, 30)
+        for i in range(5):
+            alone = conditions._norm_lanes(b[i:i + 1], NU, z0[i:i + 1], directions, 30)
+            for got, want in zip(stacked, alone):
+                assert np.array_equal(got[i], want[0])
 
 
 class TestCrossSearch:
@@ -206,14 +219,15 @@ class TestCrossSearch:
     @pytest.mark.parametrize("case", ["sampled", "exhaustive"])
     def test_golden_values(self, case):
         # pinned output, witness supports included: how an ascent step
-        # (sampled, k = 2) or an arc (exhaustive, k = 1; one evaluation
-        # per arc and pair) is evaluated must not change a byte of it
+        # (sampled, k = 2; starts and directions on per-pair streams) or an
+        # arc (exhaustive, k = 1; one evaluation per arc and pair) is
+        # evaluated must not change a byte of it
         if case == "sampled":
             phi = gen_gaussian_matrix(30, 12, RngSpec(5))
             part = conditions.estimate_cross_deviation(
                 phi, 2, SearchBudget(pairs=30, exhaustive_cap=0), RngSpec(41))
-            expected = (0.5916915325569208, 6360, 30, {"disjoint": 13, "overlap": 17},
-                        [2, 6, 8, 9], [2, 8])
+            expected = (0.6724321842165266, 6170, 30, {"disjoint": 18, "overlap": 12},
+                        [1, 6, 7, 8], [0, 10])
         else:
             phi = gen_gaussian_matrix(40, 6, RngSpec(17))
             part = conditions.estimate_cross_deviation(phi, 1, SearchBudget(), RngSpec(18))
@@ -223,6 +237,98 @@ class TestCrossSearch:
         assert (part.value, part.samples, part.visited, part.families,
                 w.u_indices, w.v_indices) == expected
         assert part.exhaustive == (case == "exhaustive")
+
+    @pytest.mark.parametrize("m,k,starts,steps,shared", [
+        (40, 2, 6, 40, 0), (30, 3, 4, 60, 2), (12, 2, 3, 80, 1), (60, 3, 5, 0, 1)])
+    def test_lane_climb_matches_scalar_reference(self, m, k, starts, steps, shared):
+        # S_u = 0 .. 2k-1, S_v holds `shared` of them and k - shared more
+        stream = Stream(RngSpec(m, 10 * k + shared))
+        phi = stream.normal(m * 3 * k).reshape(m, 3 * k)
+        su = np.arange(2 * k)
+        sv = np.concatenate([su[2 * k - shared:], np.arange(2 * k, 3 * k - shared)])
+        sel = (sv[:, None] == su[None, :]).astype(float)
+        z0 = stream.normal(2 * k * starts).reshape(2 * k, starts)
+        directions = stream.normal(steps * 2 * k * starts).reshape(steps, 2 * k, starts)
+        z, vals, v, evals = (out[0] for out in conditions._cross_lanes(
+            phi[:, su][None], phi[:, sv][None], sel[None], z0[None], directions[None]))
+        for lane in range(starts):
+            ref_z, ref_val, ref_v, ref_evals = cross_climb_scalar(
+                phi[:, su], phi[:, sv], sel, z0[:, lane], directions[:, :, lane])
+            assert vals[lane] == pytest.approx(ref_val, rel=1e-12, abs=0)
+            assert int(evals[lane]) == ref_evals
+            np.testing.assert_allclose(z[:, lane], ref_z, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(v[:, lane], ref_v, rtol=0, atol=1e-12)
+            # the witness pair is orthogonal and re-evaluates to the value
+            u_full, v_full = core.embed(z[:, lane], su, 3 * k), core.embed(v[:, lane], sv, 3 * k)
+            assert abs(float(u_full @ v_full)) <= 1e-12
+            assert conditions.sign_cross_deviation(phi, u_full, v_full) \
+                == pytest.approx(vals[lane], rel=1e-12)
+        if steps > 40:
+            assert evals.min() <= steps  # some lanes stop early, on their own
+
+    def test_lane_without_witness_never_wins(self):
+        # a zero S_v block leaves nothing to correlate with
+        phi = gen_gaussian_matrix(20, 9, RngSpec(42))
+        phi[:, 6:] = 0.0
+        su, sv = np.arange(4), np.arange(6, 8)
+        sel = np.zeros((1, 2, 4))
+        stream = Stream(RngSpec(43))
+        z, vals, v, evals = conditions._cross_lanes(
+            phi[:, su][None], phi[:, sv][None], sel, stream.normal(12).reshape(1, 4, 3),
+            stream.normal(60).reshape(1, 5, 4, 3))
+        assert np.all(vals == -math.inf)
+        ref = cross_climb_scalar(phi[:, su], phi[:, sv], sel[0], np.ones(4), np.ones((5, 4)))
+        assert ref[1] == -math.inf and ref[2] is None
+
+    def test_pair_streams_keyed_past_one_child_tag(self):
+        # pair indices past the child tag range (65,534) still get streams
+        # of their own; no 65k-pair search needed to reach them
+        spec = RngSpec(9).child(1)
+        indices = (0, CHILD_TAGS - 1, CHILD_TAGS, 70_000, CHILD_TAGS ** 2 - 1)
+        draws = {i: conditions._pair_draws(spec, i, 2, 3, 4) for i in indices}
+        assert all(d.shape == (4, 4, 2) for d in draws.values())
+        assert len({d.tobytes() for d in draws.values()}) == len(indices)
+        direct = Stream(spec.child(1).child(70_000 - CHILD_TAGS)).normal(32)
+        assert np.array_equal(draws[70_000], direct.reshape(4, 2, 4).transpose(0, 2, 1))
+        with pytest.raises(ValueError):
+            conditions._pair_draws(spec, CHILD_TAGS ** 2, 2, 3, 4)
+
+    @pytest.mark.parametrize("field", ["pairs", "exhaustive_cap"])
+    def test_budget_refuses_pairs_past_the_stream_keys(self, field):
+        assert getattr(SearchBudget(**{field: CHILD_TAGS ** 2 - 1}), field) == CHILD_TAGS ** 2 - 1
+        with pytest.raises(ValueError):
+            SearchBudget(**{field: CHILD_TAGS ** 2})
+
+    def test_larger_pair_budget_extends_smaller(self, monkeypatch):
+        # every pair climbs the same lanes whatever the budget: the first
+        # 10 pairs of a 25-pair search are the 10-pair search
+        phi = gen_gaussian_matrix(30, 12, RngSpec(44))
+        climbed = []
+        lanes = conditions._cross_lanes
+
+        def recording(*args):
+            climbed.append(lanes(*args))
+            return climbed[-1]
+
+        monkeypatch.setattr(conditions, "BLOCK", 1)
+        monkeypatch.setattr(conditions, "_cross_lanes", recording)
+        for pairs in (10, 25):
+            conditions.estimate_cross_deviation(
+                phi, 2, SearchBudget(pairs=pairs, exhaustive_cap=0), RngSpec(45))
+        assert len(climbed) == 35
+        for small, large in zip(climbed[:10], climbed[10:20]):
+            for a, b in zip(small, large):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n,k,kw", [(8, 2, {}), (30, 2, {"exhaustive_cap": 0}),
+                                        (12, 3, {"exhaustive_cap": 0, "supports": 9})])
+    def test_block_size_changes_nothing(self, monkeypatch, n, k, kw):
+        phi = gen_gaussian_matrix(25, n, RngSpec(46, n))
+        budget = SearchBudget(**kw)
+        full = conditions.estimate_conditions(phi, k, budget, RngSpec(47)).as_dict()
+        monkeypatch.setattr(conditions, "BLOCK", 1)
+        assert conditions.estimate_conditions(phi, k, budget, RngSpec(47)).as_dict() == full
+        assert full["exhaustive"] == (n == 8)
 
     def test_no_family_available_rejected(self):
         phi = gen_gaussian_matrix(5, 4, RngSpec(21))
@@ -405,16 +511,18 @@ class TestVerdict:
         assert doc["exhaustive"] == est.exhaustive
 
     def test_sampled_stream_order_pinned(self):
-        # Supports, pairs and ascent starts are drawn in one fixed order
-        # from one stream; these exact values pin that order.
+        # Supports and their starts come in one fixed order from one
+        # stream, pairs from another, and each pair's starts and step
+        # directions from a stream keyed by its index; these exact values
+        # pin that order.
         phi = gen_gaussian_matrix(30, 12, RngSpec(5))
         budget = SearchBudget(supports=20, pairs=30, exhaustive_cap=0)
         est = conditions.estimate_conditions(phi, 2, budget, RngSpec(7))
         assert est.norm_dev_lower == 0.3688902984807671
-        assert est.cross_dev_lower == 0.6686484543012963
-        assert est.samples == 16203
+        assert est.cross_dev_lower == 0.7078565538866062
+        assert est.samples == 16180
         assert est.norm_part.visited == 20 and est.cross_part.visited == 30
-        assert est.cross_part.families == {"disjoint": 15, "overlap": 15}
+        assert est.cross_part.families == {"disjoint": 13, "overlap": 17}
         assert est.verify(phi)
 
 
