@@ -4,8 +4,13 @@
 
 Two routes share one result contract: an exact reduction to a linear
 program, whose dual the built-in simplex method solves from the origin
-(the reference oracle for small problems), and a relaxed primal-dual
-splitting scheme (the scalable path).  The primal-dual solver certifies
+(the reference oracle for small problems), and a restarted primal-dual
+hybrid gradient scheme with a primal weight (the scalable path).  The
+program is a sharp LP, on which restarting PDHG from the better of its
+current and its average iterate converges linearly (Applegate, Hinder,
+Lu, Lubin, Math. Prog. 2023); the primal weight, which balances the
+primal and dual step sizes, follows the restart moves as in PDLP
+(Applegate et al., NeurIPS 2021).  The primal-dual solver certifies
 optimality through an explicit duality gap: any q with
 ||phi.T @ q||_inf <= 1 gives the lower bound q @ y - epsilon * ||q||_inf
 on the optimal value, so a feasible iterate whose objective meets that
@@ -29,10 +34,17 @@ STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible-detected"
 STATUS_ITER_LIMIT = "iteration-limit"
 
-# First-order step rule: the period of the feasibility/gap check and the
-# over-relaxation factor.
+# First-order schedule: the period of the feasibility/gap check and of
+# the restart check, and the restart thresholds on the weighted
+# fixed-point residual relative to its value at the last restart
+# (sufficient decay; necessary decay once the residual rises between
+# checks), plus the share of all iterations after which a run since the
+# last restart ends regardless.
 CHECK_EVERY = 10
-RELAX = 1.8
+RESTART_EVERY = 40
+RESTART_SUFFICIENT = 0.2
+RESTART_NECESSARY = 0.8
+RESTART_ARTIFICIAL = 0.36
 
 
 @dataclass
@@ -107,6 +119,20 @@ def soft_threshold(v, tau: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
 
 
+def _threshold_search(dropped, radius):
+    """The level theta with sum(max(dropped - theta, 0)) = radius, for
+    magnitudes sorted in decreasing order, and the search's leading
+    candidate, which is radius in exact arithmetic; theta is None when
+    rounding leaves no candidate positive."""
+    cumulative = np.cumsum(dropped) - radius
+    candidates = dropped - cumulative / np.arange(1, dropped.size + 1)
+    positive = np.flatnonzero(candidates > 0)
+    if not positive.size:
+        return None, candidates[0]
+    rho = int(positive[-1])
+    return cumulative[rho] / (rho + 1.0), candidates[0]
+
+
 def project_l1_ball(v, radius: float) -> np.ndarray:
     """Euclidean projection onto {z : ||z||_1 <= radius} via the
     sort-based threshold search."""
@@ -119,12 +145,19 @@ def project_l1_ball(v, radius: float) -> np.ndarray:
     if mags.sum() <= radius:
         return v.copy()
     dropped = np.sort(mags)[::-1]
-    cumulative = np.cumsum(dropped) - radius
-    counts = np.arange(1, v.size + 1)
-    candidates = dropped - cumulative / counts
-    rho = int(np.nonzero(candidates > 0)[0].max())
-    theta = cumulative[rho] / (rho + 1.0)
-    return np.sign(v) * np.maximum(mags - theta, 0.0)
+    theta, lead = _threshold_search(dropped, radius)
+    if theta is not None:
+        out = np.sign(v) * np.maximum(mags - theta, 0.0)
+        if (abs(lead - radius) <= 1e-13 * radius
+                or core.norm_lp(out, 1) <= radius * (1.0 + 1e-12)):
+            return out
+    # The largest magnitudes swamped the radius in rounding, so the search
+    # lost its leading candidate or overshot the ball: search again
+    # relative to the largest magnitude, where the leading entries and
+    # the radius are of one scale.
+    top = dropped[0]
+    theta, _ = _threshold_search(dropped - top, radius)
+    return np.sign(v) * np.maximum((mags - top) - theta, 0.0)
 
 
 def operator_norm_estimate(phi) -> float:
@@ -247,16 +280,71 @@ class _FeasibilityPolish:
         return u + self.pinv @ (r - project_l1_ball(r, epsilon * (1.0 - 1e-9)))
 
 
-def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> SolverResult:
-    """Relaxed primal-dual splitting on ||u||_1 + indicator of the
-    residual ball {u : ||y - phi u||_1 <= epsilon}.
+def _pdhg_step(phi, y, epsilon, u, q, tau, sigma):
+    """One primal-dual step from (u, q) with primal step tau and dual
+    step sigma; returns the new pair and phi.T @ q of the old dual."""
+    phit_q = phi.T @ q
+    u_new = soft_threshold(u - tau * phit_q, tau)
+    v = q + sigma * (phi @ (2.0 * u_new - u))
+    q_new = v - sigma * (y + project_l1_ball(v / sigma - y, epsilon))
+    return u_new, q_new, phit_q
 
-    Every CHECK_EVERY iterations the best feasible iterate seen is
-    compared with the dual lower bound of the current dual iterate; the
-    solve stops "optimal" only when that duality gap is below
-    objective_tol (relative), and reports the gap it accepted.  Hitting
-    the iteration cap returns status "iteration-limit" carrying the
-    best feasible iterate seen, if any.
+
+class _Incumbent:
+    """The best feasible point among the primal iterates offered to it,
+    each taken as it is or, when nearly feasible, after the polish."""
+
+    def __init__(self, phi, y, epsilon, ftol):
+        self.phi, self.y, self.epsilon, self.ftol = phi, y, epsilon, ftol
+        self.u = None
+        self.obj = math.inf
+        self.res = math.inf
+        self._polish = None
+
+    def offer(self, u):
+        r = self.y - self.phi @ u
+        res = float(np.sum(np.abs(r)))
+        obj = core.norm_lp(u, 1)
+        eps = self.epsilon
+        if res <= eps + self.ftol and obj < self.obj:
+            self.u, self.obj, self.res = u.copy(), obj, res
+        elif eps < res <= eps + 0.5 * (1.0 + eps):
+            # nearly feasible: snap the residual into the ball and keep
+            # the corrected point when it beats the incumbent
+            if self._polish is None:
+                self._polish = _FeasibilityPolish(self.phi)
+            cand = self._polish.candidate(u, r, eps)
+            cand_res = residual_l1(self.phi, self.y, cand)
+            cand_obj = core.norm_lp(cand, 1)
+            if cand_res <= eps + self.ftol and cand_obj < self.obj:
+                self.u, self.obj, self.res = cand, cand_obj, cand_res
+
+
+def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> SolverResult:
+    """Restarted primal-dual hybrid gradient on ||u||_1 + indicator of
+    the residual ball {u : ||y - phi u||_1 <= epsilon}.
+
+    The steps are tau = eta / w and sigma = eta * w with
+    eta = 1 / (1.02 ||phi||_2) and the primal weight w, first
+    sqrt(n) / ||y||_2.  Every RESTART_EVERY iterations the weighted
+    fixed-point residual sqrt(w ||du||^2 + ||dq||^2 / w) of one step
+    from the current iterate is compared with that from the average of
+    the iterates since the last restart; the better point becomes the
+    new start when its residual has fallen to RESTART_SUFFICIENT of the
+    value at the last restart, or to RESTART_NECESSARY of it and risen
+    since the previous check, or when the run since the last restart
+    reaches RESTART_ARTIFICIAL of all iterations.  At a restart the
+    weight moves to the geometric mean of itself and the ratio of the
+    dual to the primal move since the last restart.
+
+    Every CHECK_EVERY iterations the best feasible point among the
+    current and the average iterate (each polished when nearly
+    feasible) is compared with the better dual lower bound of the
+    current and the average dual; the solve stops "optimal" only when
+    that duality gap is below objective_tol (relative), and reports the
+    gap it accepted.  Hitting the iteration cap returns status
+    "iteration-limit" carrying the best feasible point seen, if any.
+    The certificate counts the restarts.
     """
     phi = core.as_matrix(phi, "phi")
     y = core.as_vector(y, "y")
@@ -267,77 +355,103 @@ def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> So
     if epsilon < 0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     cfg = config if config is not None else SolverConfig()
-    ftol, otol = cfg.feasibility_tol, cfg.objective_tol
+    otol = cfg.objective_tol
 
     y_l1 = core.norm_lp(y, 1)
     if y_l1 <= epsilon:
         # zero is feasible and l1-minimal
         return SolverResult(np.zeros(n), 0.0, y_l1, STATUS_OPTIMAL, 0,
-                            {"stop": "zero-feasible"})
+                            {"stop": "zero-feasible", "restarts": 0})
 
     # The 2% margin keeps tau * sigma * ||phi||^2 < 1 strictly, which the
-    # relaxed primal-dual iteration needs to converge.
+    # primal-dual iteration needs to converge.
     lip = operator_norm_estimate(phi) * 1.02
     if lip <= 0.0:
         # phi is the zero matrix and y is outside the residual ball
         return SolverResult(np.zeros(n), math.inf, y_l1, STATUS_INFEASIBLE, 0, None)
-    tau = sigma = 1.0 / lip
+    eta = 1.0 / lip
+    weight = math.sqrt(n) / core.norm_lp(y, 2)
+
+    def step(u, q):
+        return _pdhg_step(phi, y, epsilon, u, q, eta / weight, eta * weight)
+
+    def fixed_point_residual(du, dq):
+        return math.sqrt(weight * float(du @ du) + float(dq @ dq) / weight)
 
     u = np.zeros(n)
     q = np.zeros(m)
-    u_hat = u
-    best_u = None
-    best_obj = math.inf
-    best_res = math.inf
-    polish = None
+    start_u, start_q = u, q        # the point of the last restart
+    start_residual = None          # its fixed-point residual
+    checked_residual = math.inf    # the best candidate's at the previous check
+    u_sum = np.zeros(n)
+    q_sum = np.zeros(m)
+    run = 0                        # iterates summed since the last restart
+    restarts = 0
+    incumbent = _Incumbent(phi, y, epsilon, cfg.feasibility_tol)
     stop = "cap"
     it = 0
 
     for it in range(1, cfg.max_iters + 1):
-        q_top = q                     # q and phi.T @ q from the same iterate
-        phit_q = phi.T @ q_top
-        u_hat = soft_threshold(u - tau * phit_q, tau)
-        w = q + sigma * (phi @ (2.0 * u_hat - u))
-        q_hat = w - sigma * (y + project_l1_ball(w / sigma - y, epsilon))
-        u = u + RELAX * (u_hat - u)
-        q = q + RELAX * (q_hat - q)
+        u_new, q_new, phit_q = step(u, q)
+        if it % RESTART_EVERY == 1:
+            # the index of (u, q) is a multiple of RESTART_EVERY, and the
+            # step just taken from it measures its residual; iterate 0
+            # only sets the first scale
+            residual = fixed_point_residual(u_new - u, q_new - q)
+            if start_residual is None:
+                start_residual = residual
+            else:
+                u_avg, q_avg = u_sum / run, q_sum / run
+                avg_u_new, avg_q_new, _ = step(u_avg, q_avg)
+                avg_residual = fixed_point_residual(avg_u_new - u_avg, avg_q_new - q_avg)
+                from_avg = avg_residual < residual
+                residual = min(residual, avg_residual)
+                if (residual <= RESTART_SUFFICIENT * start_residual
+                        or checked_residual < residual <= RESTART_NECESSARY * start_residual
+                        or run >= RESTART_ARTIFICIAL * (it - 1)):
+                    if from_avg:
+                        u, q = u_avg, q_avg
+                    du = core.norm_lp(u - start_u, 2)
+                    dq = core.norm_lp(q - start_q, 2)
+                    if du > 1e-10 and dq > 1e-10:
+                        weight = math.sqrt(weight * dq / du)
+                    start_u, start_q, start_residual = u, q, residual
+                    u_sum = np.zeros(n)
+                    q_sum = np.zeros(m)
+                    run = 0
+                    restarts += 1
+                    # the first step from the new start takes the new weight
+                    u_new, q_new, phit_q = step(u, q)
+                checked_residual = residual
+        q_top = q                     # q and phit_q come from the same iterate
+        u, q = u_new, q_new
+        u_sum += u
+        q_sum += q
+        run += 1
 
         if it % CHECK_EVERY and it != cfg.max_iters:
             continue
-        r = y - phi @ u_hat
-        res = float(np.sum(np.abs(r)))
-        obj = core.norm_lp(u_hat, 1)
-        if res <= epsilon + ftol and obj < best_obj:
-            best_u = u_hat.copy()
-            best_obj = obj
-            best_res = res
-        elif epsilon < res <= epsilon + 0.5 * (1.0 + epsilon):
-            # nearly feasible: snap the residual into the ball and keep
-            # the corrected point when it beats the incumbent
-            if polish is None:
-                polish = _FeasibilityPolish(phi)
-            cand = polish.candidate(u_hat, r, epsilon)
-            cand_res = residual_l1(phi, y, cand)
-            cand_obj = core.norm_lp(cand, 1)
-            if cand_res <= epsilon + ftol and cand_obj < best_obj:
-                best_u = cand
-                best_obj = cand_obj
-                best_res = cand_res
-        gap = best_obj - _dual_lower_bound(q_top, phit_q, y, epsilon)
-        if best_u is not None and gap <= otol * (1.0 + abs(best_obj)):
+        lower = _dual_lower_bound(q_top, phit_q, y, epsilon)
+        incumbent.offer(u)
+        if run > 1:
+            q_avg = q_sum / run
+            incumbent.offer(u_sum / run)
+            lower = max(lower, _dual_lower_bound(q_avg, phi.T @ q_avg, y, epsilon))
+        gap = incumbent.obj - lower
+        if incumbent.u is not None and gap <= otol * (1.0 + abs(incumbent.obj)):
             stop = "gap"
             break
 
-    if best_u is not None:
-        u_out, obj_out, res_out = best_u, best_obj, best_res
+    if incumbent.u is not None:
+        u_out, obj_out, res_out = incumbent.u, incumbent.obj, incumbent.res
     else:
-        u_out = u_hat
-        obj_out = core.norm_lp(u_hat, 1)
-        res_out = residual_l1(phi, y, u_hat)
+        u_out = u
+        obj_out = core.norm_lp(u, 1)
+        res_out = residual_l1(phi, y, u)
     status = STATUS_OPTIMAL if stop == "gap" else STATUS_ITER_LIMIT
 
-    certificate = {"stop": stop, "lipschitz_bound": lip}
-    if best_u is not None:
+    certificate = {"stop": stop, "lipschitz_bound": lip, "restarts": restarts}
+    if incumbent.u is not None:
         certificate["duality_gap"] = float(gap)
     return SolverResult(u_out, float(obj_out), float(res_out), status, it, certificate)
 

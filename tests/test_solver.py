@@ -55,6 +55,29 @@ class TestProx:
         with pytest.raises(ValueError):
             solver.project_l1_ball([1.0], -1.0)
 
+    @pytest.mark.parametrize("v, radius, expected", [
+        ([1e20, 0.0], 1.0, [1.0, 0.0]),
+        ([3e16], 1.0, [1.0]),
+        ([1e16, 1e16], 0.5, [0.25, 0.25]),
+        ([-1.5e16, 2.0], 1.0, [-1.0, 0.0]),
+    ])
+    def test_project_radius_below_rounding_of_magnitudes(self, v, radius, expected):
+        # The radius vanishes in rounding against the largest magnitude;
+        # the projection must still land in the ball, at the right point.
+        out = solver.project_l1_ball(np.array(v), radius)
+        assert core.norm_lp(out, 1) <= radius * (1 + 1e-12)
+        assert out == pytest.approx(expected, abs=1e-12)
+
+    def test_project_lands_in_ball_across_magnitude_ratios(self):
+        st = Stream(RngSpec(17))
+        for _ in range(400):
+            dim = 1 + st.integer_below(20)
+            v = st.normal(dim) * 10.0 ** (20.0 * st.uniform(1)[0])
+            radius = 10.0 ** (-3.0 + 5.0 * st.uniform(1)[0])
+            out = solver.project_l1_ball(v, radius)
+            assert core.norm_lp(out, 1) <= radius * (1 + 1e-12)
+            assert np.all(out * v >= 0.0)
+
     def test_project_matches_bisection_oracle(self):
         st = Stream(RngSpec(11))
         for _ in range(40):
@@ -231,15 +254,49 @@ class TestFirstOrder:
         # (a multiple of the check period) are a prefix of those made under
         # a larger cap: the best feasible objective can only go down.
         inst = _random_instance(5)
+        full = solver.solve_first_order(inst.phi, inst.y, inst.epsilon)
         objectives = []
-        for cap in range(20, 1301, 40):
+        for cap in range(20, full.iters, 20):
             res = solver.solve_first_order(inst.phi, inst.y, inst.epsilon,
                                            solver.SolverConfig(max_iters=cap))
             assert res.status == "iteration-limit"
             assert res.residual_l1 <= inst.epsilon + 1e-8
             objectives.append(res.objective)
+        assert len(objectives) >= 10
         assert all(a >= b for a, b in zip(objectives, objectives[1:]))
         assert objectives[-1] < objectives[0]
+
+    def test_restarts_counted_in_certificate(self):
+        inst = _random_instance(5)
+        res = solver.solve_first_order(inst.phi, inst.y, inst.epsilon)
+        restarts = res.certificate["restarts"]
+        assert isinstance(restarts, int)
+        # the first check always restarts, as its run spans every iteration
+        assert 1 <= restarts <= res.iters // solver.RESTART_EVERY
+        again = solver.solve_first_order(inst.phi, inst.y, inst.epsilon)
+        assert again.certificate == res.certificate
+        assert np.array_equal(again.u_star, res.u_star)
+
+    @pytest.mark.parametrize("index", [17, 30, 90, 56])
+    def test_criterion_1_tail_within_ten_thousand_iterations(self, index):
+        # The four slowest criterion-1 instances of the unrestarted
+        # over-relaxed loop, which needed 148,640, 52,320, 25,570 and
+        # 23,440 iterations; the restarted scheme needs 6,090, 1,300,
+        # 2,130 and 1,190.
+        st = Stream(RngSpec(31415, index))
+        n = 5 + st.integer_below(36)
+        m = 5 + st.integer_below(36)
+        k = 1 + st.integer_below(min(5, n))
+        s = 1 + st.integer_below(max(1, m // 4))
+        inst = make_instance(n, m, k, {"kind": "sparse", "s": s, "scale": 1.0},
+                             {"kind": "sparse", "amplitude": "gaussian"},
+                             RngSpec(27182, index))
+        lp = solver.solve_lp_exact(solver.lp_formulate(inst.phi, inst.y, inst.epsilon))
+        fo = solver.solve_first_order(inst.phi, inst.y, inst.epsilon,
+                                      solver.SolverConfig(max_iters=10_000))
+        assert fo.status == "optimal"
+        assert fo.residual_l1 <= inst.epsilon + 1e-8
+        assert abs(fo.objective - lp.objective) <= 1e-6 * (1.0 + lp.objective)
 
     def test_scaling_covariance(self):
         inst = _random_instance(6)
