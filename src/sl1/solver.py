@@ -9,8 +9,11 @@ hybrid gradient scheme with a primal weight (the scalable path).  The
 program is a sharp LP, on which restarting PDHG from the better of its
 current and its average iterate converges linearly (Applegate, Hinder,
 Lu, Lubin, Math. Prog. 2023); the primal weight, which balances the
-primal and dual step sizes, follows the restart moves as in PDLP
-(Applegate et al., NeurIPS 2021).  The primal-dual solver certifies
+primal and dual step sizes, follows the restart moves, and the step
+size adapts to a local bound on phi as in PDLP (Applegate et al.,
+NeurIPS 2021), so the route runs on mat-vecs and elementwise work and
+never factorises phi, except for the feasibility polish late in a long
+solve (after m iterations).  The primal-dual solver certifies
 optimality through an explicit duality gap: any q with
 ||phi.T @ q||_inf <= 1 gives the lower bound q @ y - epsilon * ||q||_inf
 on the optimal value, so a feasible iterate whose objective meets that
@@ -161,7 +164,10 @@ def project_l1_ball(v, radius: float) -> np.ndarray:
 
 
 def operator_norm_estimate(phi) -> float:
-    """Spectral norm ||phi||_2 (the largest singular value)."""
+    """Spectral norm ||phi||_2 (the largest singular value), by SVD.
+
+    A utility only: the first-order solver chooses its steps adaptively
+    and does not call it."""
     return float(np.linalg.norm(core.as_matrix(phi, "phi"), 2))
 
 
@@ -280,19 +286,50 @@ class _FeasibilityPolish:
         return u + self.pinv @ (r - project_l1_ball(r, epsilon * (1.0 - 1e-9)))
 
 
-def _pdhg_step(phi, y, epsilon, u, q, tau, sigma):
-    """One primal-dual step from (u, q) with primal step tau and dual
-    step sigma; returns the new pair and phi.T @ q of the old dual."""
-    phit_q = phi.T @ q
+def _pdhg_step(phi, y, epsilon, u, q, phi_u, phit_q, tau, sigma):
+    """One primal-dual step from (u, q), given phi @ u and phi.T @ q,
+    with primal step tau and dual step sigma; returns the new pair and
+    phi @ u of the new primal, the step's one mat-vec."""
     u_new = soft_threshold(u - tau * phit_q, tau)
-    v = q + sigma * (phi @ (2.0 * u_new - u))
+    phi_u_new = phi @ u_new
+    v = q + sigma * (2.0 * phi_u_new - phi_u)
     q_new = v - sigma * (y + project_l1_ball(v / sigma - y, epsilon))
-    return u_new, q_new, phit_q
+    return u_new, q_new, phi_u_new
+
+
+class _AdaptiveStep:
+    """The PDLP step size and its accept/retry rule (see
+    solve_first_order), with counts of the steps attempted and rejected."""
+
+    def __init__(self, phi, y, epsilon, eta):
+        self.phi, self.y, self.epsilon = phi, y, epsilon
+        self.eta = eta
+        self.attempts = 0
+        self.rejections = 0
+
+    def take(self, u, q, phi_u, phit_q, weight):
+        """Step from (u, q) until a size is accepted; returns the new
+        pair, its products phi @ u and phi.T @ q, and the size used."""
+        while True:
+            self.attempts += 1
+            eta = self.eta
+            u_new, q_new, phi_u_new = _pdhg_step(self.phi, self.y, self.epsilon, u, q,
+                                                 phi_u, phit_q, eta / weight, eta * weight)
+            du, dq = u_new - u, q_new - q
+            movement = 0.5 * (weight * float(du @ du) + float(dq @ dq) / weight)
+            interaction = abs(float(dq @ (phi_u_new - phi_u)))
+            limit = movement / interaction if interaction > 0.0 else math.inf
+            k = self.attempts
+            self.eta = min((1.0 - (k + 1) ** -0.3) * limit, (1.0 + (k + 1) ** -0.6) * eta)
+            if eta <= limit:
+                return u_new, q_new, phi_u_new, self.phi.T @ q_new, eta
+            self.rejections += 1
 
 
 class _Incumbent:
     """The best feasible point among the primal iterates offered to it,
-    each taken as it is or, when nearly feasible, after the polish."""
+    each taken as it is or, when nearly feasible and the polish is
+    allowed, after the polish."""
 
     def __init__(self, phi, y, epsilon, ftol):
         self.phi, self.y, self.epsilon, self.ftol = phi, y, epsilon, ftol
@@ -301,14 +338,14 @@ class _Incumbent:
         self.res = math.inf
         self._polish = None
 
-    def offer(self, u):
-        r = self.y - self.phi @ u
+    def offer(self, u, phi_u, polish):
+        r = self.y - phi_u
         res = float(np.sum(np.abs(r)))
         obj = core.norm_lp(u, 1)
         eps = self.epsilon
         if res <= eps + self.ftol and obj < self.obj:
             self.u, self.obj, self.res = u.copy(), obj, res
-        elif eps < res <= eps + 0.5 * (1.0 + eps):
+        elif polish and eps < res <= eps + 0.5 * (1.0 + eps):
             # nearly feasible: snap the residual into the ball and keep
             # the corrected point when it beats the incumbent
             if self._polish is None:
@@ -321,30 +358,42 @@ class _Incumbent:
 
 
 def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> SolverResult:
-    """Restarted primal-dual hybrid gradient on ||u||_1 + indicator of
-    the residual ball {u : ||y - phi u||_1 <= epsilon}.
+    """Restarted primal-dual hybrid gradient with adaptive steps on
+    ||u||_1 + indicator of the residual ball {u : ||y - phi u||_1 <= epsilon}.
 
-    The steps are tau = eta / w and sigma = eta * w with
-    eta = 1 / (1.02 ||phi||_2) and the primal weight w, first
-    sqrt(n) / ||y||_2.  Every RESTART_EVERY iterations the weighted
-    fixed-point residual sqrt(w ||du||^2 + ||dq||^2 / w) of one step
-    from the current iterate is compared with that from the average of
-    the iterates since the last restart; the better point becomes the
-    new start when its residual has fallen to RESTART_SUFFICIENT of the
-    value at the last restart, or to RESTART_NECESSARY of it and risen
-    since the previous check, or when the run since the last restart
-    reaches RESTART_ARTIFICIAL of all iterations.  At a restart the
-    weight moves to the geometric mean of itself and the ratio of the
-    dual to the primal move since the last restart.
+    The steps are tau = eta / w and sigma = eta * w with the primal
+    weight w, first sqrt(n) / ||y||_2, and the PDLP step size eta, first
+    1 / max|phi_ij|: a step is accepted when
+    eta <= (w ||du||^2 + ||dq||^2 / w) / (2 |dq . phi du|), and after
+    attempt k (counting every attempt) eta becomes
+    min((1 - (k + 1)^-0.3) limit, (1 + (k + 1)^-0.6) eta), where limit is
+    that bound; a rejected step is retried with the new eta.  phi @ u and
+    phi.T @ q are carried from step to step, so an accepted step costs
+    two mat-vecs, and no factorisation of phi is needed to choose eta.
+
+    Every RESTART_EVERY iterations the weighted fixed-point residual
+    sqrt(w ||du||^2 + ||dq||^2 / w) of the step from the current iterate
+    is compared with that of a step of the same size from the average of
+    the iterates since the last restart (weighted by their accepted step
+    sizes); the better point becomes the new start when its residual has
+    fallen to RESTART_SUFFICIENT of the value at the last restart, or to
+    RESTART_NECESSARY of it and risen since the previous check, or when
+    the run since the last restart reaches RESTART_ARTIFICIAL of all
+    iterations.  At a restart the weight moves to the geometric mean of
+    itself and the ratio of the dual to the primal move since the last
+    restart.
 
     Every CHECK_EVERY iterations the best feasible point among the
-    current and the average iterate (each polished when nearly
-    feasible) is compared with the better dual lower bound of the
-    current and the average dual; the solve stops "optimal" only when
-    that duality gap is below objective_tol (relative), and reports the
-    gap it accepted.  Hitting the iteration cap returns status
-    "iteration-limit" carrying the best feasible point seen, if any.
-    The certificate counts the restarts.
+    current and the average iterate is compared with the better dual
+    lower bound of the current and the average dual; the solve stops
+    "optimal" only when that duality gap is below objective_tol
+    (relative), and reports the gap it accepted.  A nearly feasible
+    point is polished (_FeasibilityPolish) only once the solve has run
+    m iterations: the polish needs pinv(phi), which costs about as much
+    as m iterations' mat-vecs, so a solve that ends sooner never pays
+    for it.  Hitting the iteration cap returns status "iteration-limit"
+    carrying the best feasible point seen, if any.  The certificate
+    counts the restarts and the rejected steps.
     """
     phi = core.as_matrix(phi, "phi")
     y = core.as_vector(y, "y")
@@ -361,30 +410,28 @@ def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> So
     if y_l1 <= epsilon:
         # zero is feasible and l1-minimal
         return SolverResult(np.zeros(n), 0.0, y_l1, STATUS_OPTIMAL, 0,
-                            {"stop": "zero-feasible", "restarts": 0})
+                            {"stop": "zero-feasible", "restarts": 0, "step_rejections": 0})
 
-    # The 2% margin keeps tau * sigma * ||phi||^2 < 1 strictly, which the
-    # primal-dual iteration needs to converge.
-    lip = operator_norm_estimate(phi) * 1.02
-    if lip <= 0.0:
+    largest = float(np.max(np.abs(phi)))
+    if largest <= 0.0:
         # phi is the zero matrix and y is outside the residual ball
         return SolverResult(np.zeros(n), math.inf, y_l1, STATUS_INFEASIBLE, 0, None)
-    eta = 1.0 / lip
+    stepper = _AdaptiveStep(phi, y, epsilon, 1.0 / largest)
     weight = math.sqrt(n) / core.norm_lp(y, 2)
-
-    def step(u, q):
-        return _pdhg_step(phi, y, epsilon, u, q, eta / weight, eta * weight)
 
     def fixed_point_residual(du, dq):
         return math.sqrt(weight * float(du @ du) + float(dq @ dq) / weight)
 
     u = np.zeros(n)
     q = np.zeros(m)
+    phi_u = np.zeros(m)
+    phit_q = np.zeros(n)
     start_u, start_q = u, q        # the point of the last restart
     start_residual = None          # its fixed-point residual
     checked_residual = math.inf    # the best candidate's at the previous check
     u_sum = np.zeros(n)
     q_sum = np.zeros(m)
+    eta_sum = 0.0                  # accepted step sizes summed since the last restart
     run = 0                        # iterates summed since the last restart
     restarts = 0
     incumbent = _Incumbent(phi, y, epsilon, cfg.feasibility_tol)
@@ -392,7 +439,7 @@ def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> So
     it = 0
 
     for it in range(1, cfg.max_iters + 1):
-        u_new, q_new, phit_q = step(u, q)
+        u_new, q_new, phi_u_new, phit_q_new, eta = stepper.take(u, q, phi_u, phit_q, weight)
         if it % RESTART_EVERY == 1:
             # the index of (u, q) is a multiple of RESTART_EVERY, and the
             # step just taken from it measures its residual; iterate 0
@@ -401,8 +448,10 @@ def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> So
             if start_residual is None:
                 start_residual = residual
             else:
-                u_avg, q_avg = u_sum / run, q_sum / run
-                avg_u_new, avg_q_new, _ = step(u_avg, q_avg)
+                u_avg, q_avg = u_sum / eta_sum, q_sum / eta_sum
+                phi_u_avg, phit_q_avg = phi @ u_avg, phi.T @ q_avg
+                avg_u_new, avg_q_new, _ = _pdhg_step(phi, y, epsilon, u_avg, q_avg, phi_u_avg,
+                                                     phit_q_avg, eta / weight, eta * weight)
                 avg_residual = fixed_point_residual(avg_u_new - u_avg, avg_q_new - q_avg)
                 from_avg = avg_residual < residual
                 residual = min(residual, avg_residual)
@@ -410,7 +459,7 @@ def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> So
                         or checked_residual < residual <= RESTART_NECESSARY * start_residual
                         or run >= RESTART_ARTIFICIAL * (it - 1)):
                     if from_avg:
-                        u, q = u_avg, q_avg
+                        u, q, phi_u, phit_q = u_avg, q_avg, phi_u_avg, phit_q_avg
                     du = core.norm_lp(u - start_u, 2)
                     dq = core.norm_lp(q - start_q, 2)
                     if du > 1e-10 and dq > 1e-10:
@@ -418,24 +467,27 @@ def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> So
                     start_u, start_q, start_residual = u, q, residual
                     u_sum = np.zeros(n)
                     q_sum = np.zeros(m)
+                    eta_sum = 0.0
                     run = 0
                     restarts += 1
                     # the first step from the new start takes the new weight
-                    u_new, q_new, phit_q = step(u, q)
+                    u_new, q_new, phi_u_new, phit_q_new, eta = stepper.take(
+                        u, q, phi_u, phit_q, weight)
                 checked_residual = residual
-        q_top = q                     # q and phit_q come from the same iterate
-        u, q = u_new, q_new
-        u_sum += u
-        q_sum += q
+        u, q, phi_u, phit_q = u_new, q_new, phi_u_new, phit_q_new
+        u_sum += eta * u
+        q_sum += eta * q
+        eta_sum += eta
         run += 1
 
         if it % CHECK_EVERY and it != cfg.max_iters:
             continue
-        lower = _dual_lower_bound(q_top, phit_q, y, epsilon)
-        incumbent.offer(u)
+        polish = it >= m
+        lower = _dual_lower_bound(q, phit_q, y, epsilon)
+        incumbent.offer(u, phi_u, polish)
         if run > 1:
-            q_avg = q_sum / run
-            incumbent.offer(u_sum / run)
+            u_avg, q_avg = u_sum / eta_sum, q_sum / eta_sum
+            incumbent.offer(u_avg, phi @ u_avg, polish)
             lower = max(lower, _dual_lower_bound(q_avg, phi.T @ q_avg, y, epsilon))
         gap = incumbent.obj - lower
         if incumbent.u is not None and gap <= otol * (1.0 + abs(incumbent.obj)):
@@ -450,7 +502,7 @@ def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> So
         res_out = residual_l1(phi, y, u)
     status = STATUS_OPTIMAL if stop == "gap" else STATUS_ITER_LIMIT
 
-    certificate = {"stop": stop, "lipschitz_bound": lip, "restarts": restarts}
+    certificate = {"stop": stop, "restarts": restarts, "step_rejections": stepper.rejections}
     if incumbent.u is not None:
         certificate["duality_gap"] = float(gap)
     return SolverResult(u_out, float(obj_out), float(res_out), status, it, certificate)

@@ -211,6 +211,24 @@ class TestSolve:
         again.update(result.to_json_dict())
         assert matio.dump_json(again) == out.read_text()
 
+    def test_first_order_output_independent_of_blas_threads(self, tmp_path):
+        # The smallest bundle found on which a first-order solve that took
+        # its step from an SVD norm and polished through an early pinv
+        # wrote different bytes under one and two BLAS threads; fresh
+        # processes, as the thread count is fixed at import.
+        import sl1
+        assert main(["gen", "--out", str(tmp_path / "b"), "--n", "384", "--m", "192",
+                     "--k", "8", "--noise", "sparse", "--s", "4", "--seed", "7"]) == 0
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.path.dirname(os.path.dirname(sl1.__file__)))
+            subprocess.run([sys.executable, "-m", "sl1", "solve", "--bundle", "b",
+                            "--method", "first-order", "--out", "fo.json"],
+                           cwd=tmp_path, env=env, check=True, capture_output=True)
+            outputs.append((tmp_path / "fo.json").read_bytes())
+        assert outputs[0] == outputs[1]
+
 
 class TestConditions:
     def test_report_on_bundle(self, bundle, tmp_path):

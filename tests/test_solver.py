@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from sl1 import core, solver
-from sl1.generators import make_instance
+from sl1.cli import main
+from sl1.generators import load_bundle, make_instance
 from sl1.rng import RngSpec, Stream
 
 from oracles import lp_min_by_vertex_enumeration, project_l1_ball_bisection
@@ -256,7 +257,7 @@ class TestFirstOrder:
         inst = _random_instance(5)
         full = solver.solve_first_order(inst.phi, inst.y, inst.epsilon)
         objectives = []
-        for cap in range(20, full.iters, 20):
+        for cap in range(20, full.iters, solver.CHECK_EVERY):
             res = solver.solve_first_order(inst.phi, inst.y, inst.epsilon,
                                            solver.SolverConfig(max_iters=cap))
             assert res.status == "iteration-limit"
@@ -276,6 +277,39 @@ class TestFirstOrder:
         again = solver.solve_first_order(inst.phi, inst.y, inst.epsilon)
         assert again.certificate == res.certificate
         assert np.array_equal(again.u_star, res.u_star)
+
+    def test_step_rejections_counted_in_certificate(self):
+        counts = []
+        for seed in range(6):
+            inst = _random_instance(seed)
+            res = solver.solve_first_order(inst.phi, inst.y, inst.epsilon)
+            rejections = res.certificate["step_rejections"]
+            assert isinstance(rejections, int) and rejections >= 0
+            assert "lipschitz_bound" not in res.certificate
+            again = solver.solve_first_order(inst.phi, inst.y, inst.epsilon)
+            assert again.certificate["step_rejections"] == rejections
+            counts.append(rejections)
+        # the step rule does turn steps down on these instances
+        assert sum(counts) > 0
+
+    def test_no_svd_and_no_pinv_before_m_iterations(self, tmp_path, monkeypatch):
+        # The step size needs no spectral norm, and the polish, the one
+        # factorisation left, waits for m iterations: this 256x128 bundle
+        # (phi is 128 x 256) stops before that.
+        bundle = str(tmp_path / "mid")
+        assert main(["gen", "--out", bundle, "--n", "256", "--m", "128", "--k", "5",
+                     "--noise", "sparse", "--s", "5", "--seed", "11"]) == 0
+        inst = load_bundle(bundle)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the first-order route factorised phi")
+
+        monkeypatch.setattr(solver, "operator_norm_estimate", refuse)
+        monkeypatch.setattr(np.linalg, "pinv", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        res = solver.solve_first_order(inst.phi, inst.y, inst.epsilon)
+        assert res.status == "optimal"
+        assert res.iters < inst.phi.shape[0]
 
     @pytest.mark.parametrize("index", [17, 30, 90, 56])
     def test_criterion_1_tail_within_ten_thousand_iterations(self, index):
