@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+MAT_VEC_BLOCK = 256
+
 
 def as_vector(v, name: str = "v") -> np.ndarray:
     """Validate and return a finite 1-d float64 array."""
@@ -185,14 +187,24 @@ def partition_support(h, t0, k: int) -> SupportPartition:
 
 def mat_vec(a, v) -> np.ndarray:
     """Matrix-vector product with a fixed left-to-right accumulation
-    order per row (column sweep), for bit-reproducible results."""
+    order per row, for bit-reproducible results.
+
+    Each row's products a_ij * v_j are summed by ``np.add.accumulate``,
+    which adds them one at a time from 0.0 in column order; blocks of
+    MAT_VEC_BLOCK columns carry the running sum in their first column, so
+    the work array stays m x (MAT_VEC_BLOCK + 1) for any n."""
     a = as_matrix(a)
     v = as_vector(v)
     m, n = a.shape
     if v.size != n:
         raise ValueError(f"dimension mismatch: matrix is {m}x{n}, vector has length {v.size}")
-    out = np.zeros(m)
-    for j in range(n):
-        out += a[:, j] * v[j]
-    return out
+    work = np.empty((m, min(n, MAT_VEC_BLOCK) + 1))
+    work[:, 0] = 0.0
+    for lo in range(0, n, MAT_VEC_BLOCK):
+        hi = min(lo + MAT_VEC_BLOCK, n)
+        block = work[:, :hi - lo + 1]
+        np.multiply(a[:, lo:hi], v[lo:hi], out=block[:, 1:])
+        np.add.accumulate(block, axis=1, out=block)
+        work[:, 0] = block[:, -1]
+    return work[:, 0].copy()
 

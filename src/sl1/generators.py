@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from . import core, matio
 from .rng import SAMPLER_NAME, RngSpec, Stream
@@ -129,6 +128,10 @@ def gen_laplacian_noise(m: int, epsilon_quantile: float, rng: RngSpec) -> Laplac
         raise ValueError(f"m must be positive, got {m}")
     if not 0.0 < q < 1.0:
         raise ValueError(f"epsilon_quantile must lie in (0, 1), got {q}")
+    # scipy is imported here, not at the top: it costs about 0.3 s, and
+    # only Laplacian noise needs it
+    from scipy.special import gammaincinv
+
     noise = Stream(rng).laplace(m)
     epsilon = float(gammaincinv(m, q))
     return LaplacianNoise(noise, epsilon, core.norm_lp(noise, 1) > epsilon)

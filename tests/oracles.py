@@ -11,6 +11,18 @@ from itertools import combinations
 import numpy as np
 
 
+def mat_vec_column_loop(a, v):
+    """a @ v summed strictly left to right along each row: a plain loop
+    over the columns, adding each column times its coefficient to a
+    running sum that starts at 0.0."""
+    a = np.asarray(a, dtype=float)
+    v = np.asarray(v, dtype=float)
+    out = np.zeros(a.shape[0])
+    for j in range(a.shape[1]):
+        out += a[:, j] * v[j]
+    return out
+
+
 def lp_min_by_vertex_enumeration(c, a_ub, b_ub, feas_tol=1e-9, cond_cap=1e12):
     """Exact minimum of c @ z over {a_ub @ z <= b_ub, z >= 0} by
     enumerating all basic feasible points (vertices).

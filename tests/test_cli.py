@@ -229,6 +229,24 @@ class TestSolve:
             outputs.append((tmp_path / "fo.json").read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_lp_exact_output_independent_of_blas_threads(self, tmp_path):
+        # a 256x128 bundle: each pivot's (640 x 2) @ (2 x 258) update is
+        # large enough for the BLAS to split it across two threads (it runs
+        # in about half the time), where the exact grid's 320 x 130 is not
+        import sl1
+        assert main(["gen", "--out", str(tmp_path / "b"), "--n", "256", "--m", "128",
+                     "--k", "5", "--noise", "sparse", "--s", "5", "--seed", "11"]) == 0
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.path.dirname(os.path.dirname(sl1.__file__)))
+            subprocess.run([sys.executable, "-m", "sl1", "solve", "--bundle", "b",
+                            "--method", "lp-exact", "--out", "lp.json"],
+                           cwd=tmp_path, env=env, check=True, capture_output=True)
+            outputs.append((tmp_path / "lp.json").read_bytes())
+        assert outputs[0] == outputs[1]
+        assert matio.read_json(tmp_path / "lp.json")["status"] == "optimal"
+
 
 class TestConditions:
     def test_report_on_bundle(self, bundle, tmp_path):
@@ -425,6 +443,21 @@ class TestGrid:
         assert main(["--threads", "2", *args]) == 0
         assert outputs() == first
 
+    # sha256 of the first 12 columns (runtime_ms cut) of trials.csv of the
+    # 40-trial lp-exact grid at 128x64, k = s = 4, seed 14142, recorded
+    # while each pivot's update still went through np.outer (x86-64
+    # Linux, numpy 2.4)
+    EXACT_TRIALS = "6bc8c321db24b7c059cee4b041387f8a04c0b9da51df5fe99941a2646dacf90a"
+
+    def test_lp_exact_grid_bytes_pinned(self, tmp_path):
+        out = tmp_path / "exact"
+        assert main(["grid", "--out", str(out), "--n", "128", "--m-values", "64",
+                     "--k-values", "4", "--s-values", "4", "--trials", "40",
+                     "--seed", "14142", "--method", "lp-exact", "--max-iters", "2000"]) == 0
+        lines = (out / "trials.csv").read_text().splitlines()
+        cut = "".join(",".join(line.split(",")[:12]) + "\n" for line in lines)
+        assert hashlib.sha256(cut.encode()).hexdigest() == self.EXACT_TRIALS
+
     def test_uniform_amplitude_flag_runs_and_replays(self, tmp_path):
         out = tmp_path / "grid"
         assert main(["grid", "--out", str(out), "--n", "8", "--m-values", "10",
@@ -479,6 +512,16 @@ class TestGrid:
         assert main(["grid", "--out", str(tmp_path / "g2"), "--n", "6",
                      "--m-values", "abc", "--k-values", "1", "--s-values", "0",
                      "--trials", "1", "--seed", "0"]) == 2
+
+
+class TestImport:
+    def test_package_imports_no_scipy(self):
+        # scipy costs about 0.3 s and 17 MB of peak RSS at import; only the
+        # Laplacian noise generator loads it, when called
+        import sl1
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sl1.__file__)))
+        code = "import sys, sl1, sl1.cli; sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 _SOLVER_ECHO = {"feasibility_tol": 1e-08, "max_iters": 50000, "method": "first-order",

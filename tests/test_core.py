@@ -6,7 +6,7 @@ import pytest
 from sl1 import core
 from sl1.rng import RngSpec, Stream
 
-from oracles import best_sparse_l1_error
+from oracles import best_sparse_l1_error, mat_vec_column_loop
 
 
 class TestNormLp:
@@ -206,3 +206,28 @@ class TestMatVec:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             core.mat_vec(np.eye(2), [1.0, 2.0, 3.0])
+
+    def test_same_bytes_as_column_loop(self):
+        # 100 seeded shapes, among them n = 1, Fortran-ordered matrices,
+        # vectors holding -0.0 and exact zeros, and widths around and past
+        # multiples of 256 columns
+        stream = Stream(RngSpec(2718))
+        widths = [1, 2, 7, 64, 255, 256, 257, 517]
+        for case in range(100):
+            m = 1 + stream.integer_below(40)
+            n = widths[case % len(widths)] if case % 3 else 1 + stream.integer_below(300)
+            a = stream.normal(m * n).reshape(m, n)
+            v = stream.normal(n)
+            if case % 4 == 1:
+                a = np.asfortranarray(a)
+            if case % 5 == 2:
+                v[::2] = -0.0
+                a[:, 1::3] = 0.0
+            got, want = core.mat_vec(a, v), mat_vec_column_loop(a, v)
+            assert got.tobytes() == want.tobytes(), (m, n, case)
+
+    def test_negative_zero_products_sum_to_positive_zero(self):
+        # the running sum starts at +0.0, so a row of -0.0 products gives +0.0
+        got = core.mat_vec([[1.0, -2.0], [0.0, 0.0]], [-0.0, 0.0])
+        assert got.tobytes() == mat_vec_column_loop([[1.0, -2.0], [0.0, 0.0]], [-0.0, 0.0]).tobytes()
+        assert not np.signbit(got).any()

@@ -184,6 +184,66 @@ class TestSameAsFullTableau:
             _assert_same_as_full_tableau(c[perm], a[:, perm], b)
 
 
+def _signed_zero_lp(stream, m, n):
+    """A small LP whose data holds many exact zeros, half of them -0.0."""
+    a = np.round(stream.normal(m * n)).reshape(m, n)
+    a[(a == 0.0) & (stream.normal(m * n).reshape(m, n) < 0.0)] = -0.0
+    b = np.abs(np.round(stream.normal(m)))
+    b[(b == 0.0) & (stream.normal(m) < 0.0)] = -0.0
+    c = np.round(stream.normal(n))
+    c[(c == 0.0) & (stream.normal(n) < 0.0)] = -0.0
+    return c, a, b
+
+
+def _outer_pivot(tableau, cost, row, col):
+    """The compact pivot with its rank-1 update by np.outer, which keeps
+    the sign of every zero product."""
+    piv = tableau[row, col]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    tableau[:, col] = 0.0
+    tableau[row, col] = 1.0
+    tableau[row] /= piv
+    tableau -= np.outer(factors, tableau[row])
+    entering = cost[col]
+    cost[col] = 0.0
+    cost -= entering * tableau[row]
+
+
+class TestSignedZeros:
+    """The BLAS update returns +0.0 for a -0.0 product; the pivot makes
+    up for it wherever the tableau holds -0.0."""
+
+    def test_lps_with_negative_zero_data(self):
+        stream = Stream(RngSpec(404))
+        for _ in range(300):
+            _assert_same_as_full_tableau(*_signed_zero_lp(stream, 2 + stream.integer_below(5),
+                                                          2 + stream.integer_below(5)))
+
+    def test_every_entry_after_every_pivot(self):
+        # any pivot element of size >= 0.5, either sign; a third of the
+        # entries scaled by 1e-160, so that their products underflow
+        stream = Stream(RngSpec(405))
+        for case in range(120):
+            m, n = 2 + stream.integer_below(6), 2 + stream.integer_below(6)
+            c, a, b = _signed_zero_lp(stream, m, n)
+            tableau = np.column_stack([a, b])
+            tableau[stream.normal(m * (n + 1)).reshape(m, n + 1) > 0.4] *= 1e-160
+            cost = np.append(c, 0.0)
+            reference, reference_cost = tableau.copy(), cost.copy()
+            work = simplex._Work(tableau)
+            basis, nonbasic = np.arange(n, n + m), np.arange(n)
+            for _ in range(4):
+                candidates = np.argwhere(np.abs(reference[:, :-1]) >= 0.5)
+                if not len(candidates):
+                    break
+                row, col = candidates[stream.integer_below(len(candidates))]
+                _outer_pivot(reference, reference_cost, row, col)
+                simplex._pivot(tableau, cost, basis, nonbasic, row, col, work)
+                assert tableau.tobytes() == reference.tobytes(), case
+                assert cost.tobytes() == reference_cost.tobytes(), case
+
+
 class TestEmptyDimensions:
     def test_zero_columns_is_optimal_at_the_origin(self):
         res = _assert_same_as_full_tableau([], np.zeros((2, 0)), [1.0, 1.0])

@@ -315,8 +315,8 @@ class TestFirstOrder:
     def test_criterion_1_tail_within_ten_thousand_iterations(self, index):
         # The four slowest criterion-1 instances of the unrestarted
         # over-relaxed loop, which needed 148,640, 52,320, 25,570 and
-        # 23,440 iterations; the restarted scheme needs 6,090, 1,300,
-        # 2,130 and 1,190.
+        # 23,440 iterations; restarted PDHG with the adaptive step needs
+        # 5,570, 1,070, 1,090 and 700.
         st = Stream(RngSpec(31415, index))
         n = 5 + st.integer_below(36)
         m = 5 + st.integer_below(36)
