@@ -15,7 +15,7 @@ that depend on estimated deviation constants.
 
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from itertools import product
 
 import numpy as np
@@ -251,14 +251,6 @@ class GridSpec:
         d = asdict(self)
         d.update(d.pop("solver"))
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GridSpec":
-        """Inverse of as_dict; absent keys take their defaults."""
-        def pick(c):
-            return {f.name: d[f.name] for f in fields(c) if f.name in d}
-        lists = {key: tuple(d[key]) for key in ("m_values", "k_values", "s_values")}
-        return cls(**{**pick(cls), **lists, "solver": SolverConfig(**pick(SolverConfig))})
 
 
 def run_trial(n: int, m: int, k: int, s: int, rng: RngSpec, *,

@@ -38,8 +38,9 @@ STATUS_INFEASIBLE = "infeasible-detected"
 STATUS_ITER_LIMIT = "iteration-limit"
 
 # First-order schedule: the period of the feasibility/gap check and of
-# the restart check, and the restart thresholds on the weighted
-# fixed-point residual relative to its value at the last restart
+# the restart check, which reuses a gap check's average (so RESTART_EVERY
+# must stay a multiple of CHECK_EVERY), and the restart thresholds on the
+# weighted fixed-point residual relative to its value at the last restart
 # (sufficient decay; necessary decay once the residual rises between
 # checks), plus the share of all iterations after which a run since the
 # last restart ends regardless.
@@ -53,7 +54,7 @@ RESTART_ARTIFICIAL = 0.36
 @dataclass
 class SolverConfig:
     method: str = METHOD_FIRST_ORDER
-    feasibility_tol: float = 1e-8   # absolute slack allowed on ||y - phi u||_1 - epsilon
+    feasibility_tol: float = 1e-8   # slack on ||y - phi u||_1 - epsilon, times min(1, ||y||_1)
     objective_tol: float = 1e-7    # relative: duality gap
     max_iters: int = 50_000
 
@@ -371,28 +372,29 @@ def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> So
     phi.T @ q are carried from step to step, so an accepted step costs
     two mat-vecs, and no factorisation of phi is needed to choose eta.
 
-    Every RESTART_EVERY iterations the weighted fixed-point residual
-    sqrt(w ||du||^2 + ||dq||^2 / w) of the step from the current iterate
-    is compared with that of a step of the same size from the average of
-    the iterates since the last restart (weighted by their accepted step
-    sizes); the better point becomes the new start when its residual has
-    fallen to RESTART_SUFFICIENT of the value at the last restart, or to
-    RESTART_NECESSARY of it and risen since the previous check, or when
-    the run since the last restart reaches RESTART_ARTIFICIAL of all
-    iterations.  At a restart the weight moves to the geometric mean of
-    itself and the ratio of the dual to the primal move since the last
-    restart.
+    Every RESTART_EVERY iterations, right after the gap check, the weighted
+    fixed-point residual sqrt(w ||du||^2 + ||dq||^2 / w) of the step from
+    the current iterate is compared with that of a step of the same size
+    from the check's average of the iterates since the last restart
+    (weighted by their accepted step sizes); the better point becomes the
+    new start when its residual has fallen to RESTART_SUFFICIENT of the
+    value at the last restart, or to RESTART_NECESSARY of it and risen
+    since the previous check, or when the run since the last restart
+    reaches RESTART_ARTIFICIAL of all iterations.  At a restart the weight
+    moves to the geometric mean of itself and the ratio of the dual to the
+    primal move since the last restart.
 
-    Every CHECK_EVERY iterations the best feasible point among the
-    current and the average iterate is compared with the better dual
-    lower bound of the current and the average dual; the solve stops
-    "optimal" only when that duality gap is below objective_tol
-    (relative), and reports the gap it accepted.  A nearly feasible
-    point is polished (_FeasibilityPolish) only once the solve has run
-    m iterations: the polish needs pinv(phi), which costs about as much
-    as m iterations' mat-vecs, so a solve that ends sooner never pays
-    for it.  Hitting the iteration cap returns status "iteration-limit"
-    carrying the best feasible point seen, if any.  The certificate
+    Every CHECK_EVERY iterations the best point, among the current and
+    the average iterate, that is feasible up to feasibility_tol *
+    min(1, ||y||_1) is compared with the better dual lower bound of the
+    current and the average dual; the solve stops "optimal" only when
+    that duality gap is within objective_tol (relative) of zero, and
+    reports the gap it accepted.  A nearly feasible point is polished
+    (_FeasibilityPolish) only once the solve has run m iterations: the
+    polish needs pinv(phi), which costs about as much as m iterations'
+    mat-vecs, so a solve that ends sooner never pays for it.  Hitting the
+    iteration cap returns status "iteration-limit" carrying the best
+    feasible point seen, if any.  The certificate
     counts the restarts and the rejected steps.
     """
     phi = core.as_matrix(phi, "phi")
@@ -426,73 +428,71 @@ def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> So
     q = np.zeros(m)
     phi_u = np.zeros(m)
     phit_q = np.zeros(n)
+    # each iteration ends with the step to the next iterate
+    u_new, q_new, phi_u_new, phit_q_new, eta = stepper.take(u, q, phi_u, phit_q, weight)
     start_u, start_q = u, q        # the point of the last restart
-    start_residual = None          # its fixed-point residual
-    checked_residual = math.inf    # the best candidate's at the previous check
+    start_residual = fixed_point_residual(u_new - u, q_new - q)
+    checked_residual = math.inf    # the best candidate's at the previous restart check
     u_sum = np.zeros(n)
     q_sum = np.zeros(m)
     eta_sum = 0.0                  # accepted step sizes summed since the last restart
     run = 0                        # iterates summed since the last restart
     restarts = 0
-    incumbent = _Incumbent(phi, y, epsilon, cfg.feasibility_tol)
+    incumbent = _Incumbent(phi, y, epsilon, cfg.feasibility_tol * min(1.0, y_l1))
     stop = "cap"
-    it = 0
 
     for it in range(1, cfg.max_iters + 1):
-        u_new, q_new, phi_u_new, phit_q_new, eta = stepper.take(u, q, phi_u, phit_q, weight)
-        if it % RESTART_EVERY == 1:
-            # the index of (u, q) is a multiple of RESTART_EVERY, and the
-            # step just taken from it measures its residual; iterate 0
-            # only sets the first scale
-            residual = fixed_point_residual(u_new - u, q_new - q)
-            if start_residual is None:
-                start_residual = residual
-            else:
-                u_avg, q_avg = u_sum / eta_sum, q_sum / eta_sum
-                phi_u_avg, phit_q_avg = phi @ u_avg, phi.T @ q_avg
-                avg_u_new, avg_q_new, _ = _pdhg_step(phi, y, epsilon, u_avg, q_avg, phi_u_avg,
-                                                     phit_q_avg, eta / weight, eta * weight)
-                avg_residual = fixed_point_residual(avg_u_new - u_avg, avg_q_new - q_avg)
-                from_avg = avg_residual < residual
-                residual = min(residual, avg_residual)
-                if (residual <= RESTART_SUFFICIENT * start_residual
-                        or checked_residual < residual <= RESTART_NECESSARY * start_residual
-                        or run >= RESTART_ARTIFICIAL * (it - 1)):
-                    if from_avg:
-                        u, q, phi_u, phit_q = u_avg, q_avg, phi_u_avg, phit_q_avg
-                    du = core.norm_lp(u - start_u, 2)
-                    dq = core.norm_lp(q - start_q, 2)
-                    if du > 1e-10 and dq > 1e-10:
-                        weight = math.sqrt(weight * dq / du)
-                    start_u, start_q, start_residual = u, q, residual
-                    u_sum = np.zeros(n)
-                    q_sum = np.zeros(m)
-                    eta_sum = 0.0
-                    run = 0
-                    restarts += 1
-                    # the first step from the new start takes the new weight
-                    u_new, q_new, phi_u_new, phit_q_new, eta = stepper.take(
-                        u, q, phi_u, phit_q, weight)
-                checked_residual = residual
         u, q, phi_u, phit_q = u_new, q_new, phi_u_new, phit_q_new
         u_sum += eta * u
         q_sum += eta * q
         eta_sum += eta
         run += 1
 
-        if it % CHECK_EVERY and it != cfg.max_iters:
-            continue
-        polish = it >= m
-        lower = _dual_lower_bound(q, phit_q, y, epsilon)
-        incumbent.offer(u, phi_u, polish)
-        if run > 1:
-            u_avg, q_avg = u_sum / eta_sum, q_sum / eta_sum
-            incumbent.offer(u_avg, phi @ u_avg, polish)
-            lower = max(lower, _dual_lower_bound(q_avg, phi.T @ q_avg, y, epsilon))
-        gap = incumbent.obj - lower
-        if incumbent.u is not None and gap <= otol * (1.0 + abs(incumbent.obj)):
-            stop = "gap"
+        last = it == cfg.max_iters
+        if last or it % CHECK_EVERY == 0:
+            polish = it >= m
+            lower = _dual_lower_bound(q, phit_q, y, epsilon)
+            incumbent.offer(u, phi_u, polish)
+            if run > 1:
+                u_avg, q_avg = u_sum / eta_sum, q_sum / eta_sum
+                phi_u_avg, phit_q_avg = phi @ u_avg, phi.T @ q_avg
+                incumbent.offer(u_avg, phi_u_avg, polish)
+                lower = max(lower, _dual_lower_bound(q_avg, phit_q_avg, y, epsilon))
+            gap = incumbent.obj - lower
+            # a gap below -tolerance shows an incumbent outside the ball
+            if incumbent.u is not None and abs(gap) <= otol * (1.0 + abs(incumbent.obj)):
+                stop = "gap"
+                break
+        if last:
             break
+        u_new, q_new, phi_u_new, phit_q_new, eta = stepper.take(u, q, phi_u, phit_q, weight)
+        if it % RESTART_EVERY:
+            continue
+        # the restart check: the step just taken against one from the check's average
+        residual = fixed_point_residual(u_new - u, q_new - q)
+        avg_u_new, avg_q_new, _ = _pdhg_step(phi, y, epsilon, u_avg, q_avg, phi_u_avg,
+                                             phit_q_avg, eta / weight, eta * weight)
+        avg_residual = fixed_point_residual(avg_u_new - u_avg, avg_q_new - q_avg)
+        from_avg = avg_residual < residual
+        residual = min(residual, avg_residual)
+        if (residual <= RESTART_SUFFICIENT * start_residual
+                or checked_residual < residual <= RESTART_NECESSARY * start_residual
+                or run >= RESTART_ARTIFICIAL * it):
+            if from_avg:
+                u, q, phi_u, phit_q = u_avg, q_avg, phi_u_avg, phit_q_avg
+            du = core.norm_lp(u - start_u, 2)
+            dq = core.norm_lp(q - start_q, 2)
+            if du > 1e-10 and dq > 1e-10:
+                weight = math.sqrt(weight * dq / du)
+            start_u, start_q, start_residual = u, q, residual
+            u_sum = np.zeros(n)
+            q_sum = np.zeros(m)
+            eta_sum = 0.0
+            run = 0
+            restarts += 1
+            # the first step from the new start takes the new weight
+            u_new, q_new, phi_u_new, phit_q_new, eta = stepper.take(u, q, phi_u, phit_q, weight)
+        checked_residual = residual
 
     if incumbent.u is not None:
         u_out, obj_out, res_out = incumbent.u, incumbent.obj, incumbent.res

@@ -4,6 +4,8 @@ runtime budgets are asserted.
 """
 
 import dataclasses
+import hashlib
+import json
 import math
 import time
 
@@ -88,6 +90,20 @@ def test_criterion_1_solver_oracle_equivalence(small_scale_solves):
         "criterion-1 solver oracle equivalence (100 instances)",
         ok, f"worst rel diff {worst:.2e}, {elapsed:.1f}s")
     assert ok, f"worst relative objective difference {worst}, elapsed {elapsed}"
+
+
+# sha256 of the criterion-1 first-order results, each to_json_dict()
+# dumped with sorted keys, in order (x86-64 Linux, numpy 2.4)
+CRITERION_1_FIRST_ORDER = "875ba0177dfd48bbbeb926ef3d1c5e106b93abae1fc9a2d134522febf2516061"
+
+
+def test_criterion_1_first_order_bytes_pinned(small_scale_solves):
+    runs, _ = small_scale_solves
+    digest = hashlib.sha256()
+    for _, _, fo in runs:
+        digest.update(json.dumps(fo.to_json_dict(), sort_keys=True).encode())
+    assert sum(fo.iters for _, _, fo in runs) == 28_190
+    assert digest.hexdigest() == CRITERION_1_FIRST_ORDER
 
 
 def test_criterion_2_lp_matches_vertex_enumeration(micro_scale_solves):

@@ -187,6 +187,15 @@ class TestTrials:
         assert all(r.status == "iteration-limit" for r in result.records)
         assert len(result.records) == 2
 
+    def test_solver_exception_recorded_as_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise FloatingPointError("solver blew up")
+
+        monkeypatch.setattr(analysis, "solve", fail)
+        record = analysis.run_trial(10, 12, 2, 2, RngSpec(71))
+        assert record.status == "error" and record.iters == 0
+        assert math.isnan(record.err_l2) and not record.bound_holds
+
     def test_summary_marks_observational(self):
         spec = analysis.GridSpec(n=8, m_values=(10,), k_values=(1,), s_values=(1,),
                                  trials=1, seed=15)
@@ -201,8 +210,3 @@ class TestTrials:
         spec = analysis.GridSpec(n=8, m_values=(10,), k_values=(1,), s_values=(0,),
                                  trials=0, seed=3)
         assert analysis.run_grid(spec).records == []
-
-    def test_grid_spec_round_trip(self):
-        spec = analysis.GridSpec(n=8, m_values=(10, 12), k_values=(1,), s_values=(0,),
-                                 trials=2, seed=3, solver=SolverConfig(method="lp-exact"))
-        assert analysis.GridSpec.from_dict(spec.as_dict()) == spec

@@ -399,6 +399,12 @@ class TestTrace:
         assert doc["config"]["bundle"] == str(bundle)
         assert doc["solver"]["status"] == "optimal"
 
+    def test_unconverged_solve_exits_4_and_writes_nothing(self, bundle, tmp_path):
+        out = tmp_path / "trace.json"
+        assert main(["trace", "--bundle", str(bundle), "--out", str(out),
+                     "--max-iters", "3"]) == 4
+        assert not out.exists()
+
 
 class TestGrid:
     def test_smoke_grid(self, tmp_path):
@@ -457,6 +463,20 @@ class TestGrid:
         lines = (out / "trials.csv").read_text().splitlines()
         cut = "".join(",".join(line.split(",")[:12]) + "\n" for line in lines)
         assert hashlib.sha256(cut.encode()).hexdigest() == self.EXACT_TRIALS
+
+    # the same for the first-order grid at 256 x {96, 128}, k = 5,
+    # s in {0, 5}, 30 trials per cell, seed 14142 (numpy 2.4)
+    FIRST_ORDER_TRIALS = "ca350a5f56111915d4c5dd2b7c953b9355c9073c84c750a48fe9d8a7660a5e2a"
+
+    def test_first_order_grid_bytes_pinned(self, tmp_path):
+        out = tmp_path / "grid"
+        assert main(["grid", "--out", str(out), "--n", "256", "--m-values", "96,128",
+                     "--k-values", "5", "--s-values", "0,5", "--trials", "30",
+                     "--seed", "14142"]) == 0
+        lines = (out / "trials.csv").read_text().splitlines()
+        cut = "".join(",".join(line.split(",")[:12]) + "\n" for line in lines)
+        assert hashlib.sha256(cut.encode()).hexdigest() == self.FIRST_ORDER_TRIALS
+        assert sum(int(line.split(",")[11]) for line in lines[1:]) == 8_160
 
     def test_uniform_amplitude_flag_runs_and_replays(self, tmp_path):
         out = tmp_path / "grid"

@@ -469,6 +469,16 @@ class TestDegenerateK1:
         # breakpoint exactly, and the arc midpoints never do
         assert part.value > k1_exact_cross_deviation(phi) + 0.1
 
+    def test_support_of_two_zero_columns(self):
+        # phi z = 0 on the whole circle: no row has a breakpoint, and the
+        # deviation |0 - nu| is nu everywhere
+        phi = np.zeros((40, 2))
+        est = conditions.estimate_conditions(phi, 1, SearchBudget(), RngSpec(5))
+        assert est.norm_dev_lower == pytest.approx(NU, rel=1e-15)
+        assert est.norm_part.witness.u_indices == [0, 1]
+        assert est.verify(phi)
+        assert conditions.condition_verdict(est) == "violated"
+
 
 class TestVerdict:
     def _estimate(self, norm_dev, cross_dev, exhaustive):

@@ -332,6 +332,53 @@ class TestFirstOrder:
         assert fo.residual_l1 <= inst.epsilon + 1e-8
         assert abs(fo.objective - lp.objective) <= 1e-6 * (1.0 + lp.objective)
 
+    @pytest.mark.parametrize("scale", [1e3, 1e-3, 1e6, 1e-6])
+    def test_solution_invariant_under_common_scaling(self, scale):
+        # The first-order twin of TestLpExact's test: the feasibility
+        # tolerance follows ||y||_1 below 1, and a gap below the negative
+        # tolerance does not stop the solve, so no incumbent just outside
+        # the ball is accepted at a small scale.
+        for seed in range(40):
+            inst = _random_instance(seed)
+            base = solver.solve_lp_exact(solver.lp_formulate(inst.phi, inst.y, inst.epsilon))
+            res = solver.solve_first_order(scale * inst.phi, scale * inst.y,
+                                           scale * inst.epsilon)
+            assert res.status == "optimal", seed
+            assert abs(res.objective - base.objective) <= 1e-6 * (1.0 + base.objective), seed
+
+    def test_zero_phi_outside_ball_detected_infeasible(self):
+        phi, y = np.zeros((3, 4)), np.array([1.0, -2.0, 0.5])
+        lp = solver.solve(phi, y, 1.0, solver.SolverConfig(method="lp-exact"))
+        fo = solver.solve_first_order(phi, y, 1.0)
+        assert lp.status == fo.status == "infeasible-detected"
+        assert not fo.is_usable() and fo.iters == 0
+
+    # matrix products on phi, phi.T and the polish's pinv(phi) (which
+    # np.linalg.pinv returns as the subclass) in the first-order solves of
+    # _random_instance seeds 0-39; 19,449 while the restart check rebuilt
+    # the gap check's average and its two products
+    MATVECS = 19_133
+
+    def test_matvec_count_pinned(self, monkeypatch):
+        class CountingMatrix(np.ndarray):
+            products = 0
+
+            def __matmul__(self, other):
+                CountingMatrix.products += 1
+                return np.asarray(self) @ other
+
+        as_matrix = core.as_matrix
+
+        def keep_counting(a, name="a"):  # np.asarray drops the subclass
+            out = as_matrix(a, name)
+            return out.view(CountingMatrix) if isinstance(a, CountingMatrix) else out
+
+        monkeypatch.setattr(core, "as_matrix", keep_counting)
+        for seed in range(40):
+            inst = _random_instance(seed)
+            solver.solve_first_order(inst.phi.view(CountingMatrix), inst.y, inst.epsilon)
+        assert CountingMatrix.products == self.MATVECS
+
     def test_scaling_covariance(self):
         inst = _random_instance(6)
         base = solver.solve_first_order(inst.phi, inst.y, inst.epsilon)
