@@ -95,9 +95,6 @@ class RecoveryTrace:
     def unconditional_ok(self) -> bool:
         return all(r.holds for r in self.rows if not r.conditional)
 
-    def all_ok(self) -> bool:
-        return all(r.holds for r in self.rows)
-
     def as_dict(self) -> dict:
         return {"inputs": self.inputs, "condition": self.condition,
                 "deviation_provenance": self.deviation_provenance,

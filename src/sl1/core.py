@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MAT_VEC_BLOCK = 256
-
 
 def as_vector(v, name: str = "v") -> np.ndarray:
     """Validate and return a finite 1-d float64 array."""
@@ -190,21 +188,13 @@ def mat_vec(a, v) -> np.ndarray:
     order per row, for bit-reproducible results.
 
     Each row's products a_ij * v_j are summed by ``np.add.accumulate``,
-    which adds them one at a time from 0.0 in column order; blocks of
-    MAT_VEC_BLOCK columns carry the running sum in their first column, so
-    the work array stays m x (MAT_VEC_BLOCK + 1) for any n."""
+    which adds them one at a time in column order; the final ``+ 0.0``
+    turns a zero sum's sign positive, as a sum started at 0.0 would be."""
     a = as_matrix(a)
     v = as_vector(v)
     m, n = a.shape
     if v.size != n:
         raise ValueError(f"dimension mismatch: matrix is {m}x{n}, vector has length {v.size}")
-    work = np.empty((m, min(n, MAT_VEC_BLOCK) + 1))
-    work[:, 0] = 0.0
-    for lo in range(0, n, MAT_VEC_BLOCK):
-        hi = min(lo + MAT_VEC_BLOCK, n)
-        block = work[:, :hi - lo + 1]
-        np.multiply(a[:, lo:hi], v[lo:hi], out=block[:, 1:])
-        np.add.accumulate(block, axis=1, out=block)
-        work[:, 0] = block[:, -1]
-    return work[:, 0].copy()
-
+    work = a * v
+    np.add.accumulate(work, axis=1, out=work)
+    return work[:, -1] + 0.0

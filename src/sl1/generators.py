@@ -166,7 +166,7 @@ class SparseInstance:
             raise ValueError("instance dimensions are inconsistent")
         if not 1 <= self.k <= x.size:
             raise ValueError(f"k must be in [1, {x.size}], got {self.k}")
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:  # NaN fails this test too
             raise ValueError("epsilon must be nonnegative")
         if core.norm_lp(noise, 1) > self.epsilon:
             raise ValueError("noise l1 mass exceeds the stored epsilon")
@@ -276,10 +276,13 @@ def load_bundle(directory) -> SparseInstance:
     noise = matio.read_vector_csv(os.path.join(directory, "n.csv"))
     y = matio.read_vector_csv(os.path.join(directory, "y.csv"))
     try:
+        k = meta["k"]
+        if isinstance(k, bool) or isinstance(k, float) and not k.is_integer():
+            raise ValueError(f"k must be an integer, got {k!r}")
         instance = SparseInstance(
             x=x, phi=phi, noise=noise, y=y,
-            epsilon=float(meta["epsilon"]), k=int(meta["k"]), meta=meta)
+            epsilon=float(meta["epsilon"]), k=int(k), meta=meta)
         instance.validate()
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise matio.FormatError(f"{directory}: inconsistent instance bundle ({exc})") from exc
     return instance

@@ -68,9 +68,14 @@ def write_json(path, obj) -> None:
 
 
 def read_json(path) -> dict:
+    """The JSON document at path, which must be strict JSON: NaN,
+    Infinity and -Infinity, which no sl1 output holds, are refused."""
+    def refuse(constant):
+        raise FormatError(f"{path}: {constant} is not a JSON number")
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_constant=refuse)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: invalid JSON ({exc})") from exc
 

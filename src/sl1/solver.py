@@ -92,23 +92,6 @@ class SolverResult:
             out["certificate"] = self.certificate
         return out
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SolverResult":
-        return cls(
-            u_star=np.asarray(d["u_star"], dtype=np.float64),
-            objective=_float_or_inf(d["objective"]),
-            residual_l1=_float_or_inf(d["residual_l1"]),
-            status=str(d["status"]),
-            iters=int(d["iters"]),
-            certificate=d.get("certificate"),
-        )
-
-
-def _float_or_inf(value) -> float:
-    """JSON null stands for an infinite objective or residual (a solve
-    that ended without a usable iterate); see matio.dump_json."""
-    return math.inf if value is None else float(value)
-
 
 def residual_l1(phi, y, u) -> float:
     return float(np.sum(np.abs(y - phi @ u)))
@@ -140,7 +123,7 @@ def _threshold_search(dropped, radius):
 def project_l1_ball(v, radius: float) -> np.ndarray:
     """Euclidean projection onto {z : ||z||_1 <= radius} via the
     sort-based threshold search."""
-    if radius < 0:
+    if not radius >= 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
     v = np.asarray(v, dtype=np.float64)
     if radius == 0.0:
@@ -190,14 +173,6 @@ class LpProblem:
     y: np.ndarray
     epsilon: float
 
-    @property
-    def num_vars(self) -> int:
-        return self.c.size
-
-    @property
-    def num_rows(self) -> int:
-        return self.b_ub.size
-
     def signal_from(self, z) -> np.ndarray:
         n = self.phi.shape[1]
         return np.asarray(z[:n]) - np.asarray(z[n:2 * n])
@@ -209,7 +184,7 @@ def lp_formulate(phi, y, epsilon: float) -> LpProblem:
     m, n = phi.shape
     if y.size != m:
         raise ValueError(f"phi is {m}x{n} but y has length {y.size}")
-    if epsilon < 0:
+    if not epsilon >= 0:  # NaN fails this test too
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     eye = np.eye(m)
     a_ub = np.zeros((2 * m + 1, 2 * n + m))
@@ -236,17 +211,25 @@ def solve_lp_exact(lp: LpProblem, config: SolverConfig = None) -> SolverResult:
     (-p).  An unbounded dual means the residual ball is out of reach
     ("infeasible-detected"); a solve capped at 10 * max_iters pivots
     carries no iterate ("iteration-limit").
+
+    The simplex tolerances are absolute, so data with 0 < ||y||_1 < 1 is
+    solved with b_ub divided by the power of two that puts ||y||_1 in
+    [1, 2), and z and the dual objective are multiplied back; a power of
+    two scales exactly, and the duals do not depend on it.
     """
     cfg = config if config is not None else SolverConfig(method=METHOD_LP)
-    res = simplex.solve_canonical(lp.b_ub, -lp.a_ub.T, lp.c, max_pivots=cfg.max_iters * 10)
+    y_l1 = core.norm_lp(lp.y, 1)
+    scale = math.ldexp(1.0, math.frexp(y_l1)[1] - 1) if 0.0 < y_l1 < 1.0 else 1.0
+    res = simplex.solve_canonical(lp.b_ub / scale, -lp.a_ub.T, lp.c,
+                                  max_pivots=cfg.max_iters * 10)
     if res.status != simplex.OPTIMAL:
         status = STATUS_INFEASIBLE if res.status == simplex.UNBOUNDED else STATUS_ITER_LIMIT
         return SolverResult(
             u_star=np.zeros(lp.phi.shape[1]), objective=math.inf, residual_l1=math.inf,
             status=status, iters=res.pivots, certificate=None)
-    z = -res.duals
+    z = -res.duals * scale
     u = lp.signal_from(z)
-    dual_obj = -res.objective
+    dual_obj = -res.objective * scale
     certificate = {
         "duals": [float(v) for v in -res.x],
         "dual_objective": dual_obj,
@@ -403,7 +386,7 @@ def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> So
     m, n = phi.shape
     if y.size != m:
         raise ValueError(f"phi is {m}x{n} but y has length {y.size}")
-    if epsilon < 0:
+    if not epsilon >= 0:  # NaN fails this test too
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     cfg = config if config is not None else SolverConfig()
     otol = cfg.objective_tol

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used by the test suite.
 
 Everything here is deliberately written from first principles (plain
-numpy, exhaustive enumeration, bisection) and never calls back into the
-package's own implementations of the operations it checks.
+numpy, exhaustive enumeration, bisection) or handed to an outside solver
+(HiGHS), and never calls back into the package's own implementations of
+the operations it checks.
 """
 
 import math
@@ -21,6 +22,27 @@ def mat_vec_column_loop(a, v):
     for j in range(a.shape[1]):
         out += a[:, j] * v[j]
     return out
+
+
+def highs_objective(phi, y, epsilon):
+    """The optimum of min ||u||_1 s.t. ||y - phi u||_1 <= epsilon by HiGHS
+    (scipy.optimize.linprog), on an equality form that shares no code
+    with solver.lp_formulate: u = u+ - u- and y - phi u = p - q,
+
+        minimize sum(u+) + sum(u-)
+        s.t.  phi u+ - phi u- + p - q = y,  sum(p) + sum(q) <= epsilon,
+              u+, u-, p, q >= 0.
+    """
+    from scipy.optimize import linprog
+
+    m, n = phi.shape
+    c = np.concatenate([np.ones(2 * n), np.zeros(2 * m)])
+    a_eq = np.hstack([phi, -phi, np.eye(m), -np.eye(m)])
+    a_ub = np.concatenate([np.zeros(2 * n), np.ones(2 * m)])[None, :]
+    ref = linprog(c, A_ub=a_ub, b_ub=[epsilon], A_eq=a_eq, b_eq=y,
+                  bounds=(0, None), method="highs")
+    assert ref.status == 0, ref.message
+    return ref.fun
 
 
 def lp_min_by_vertex_enumeration(c, a_ub, b_ub, feas_tol=1e-9, cond_cap=1e12):

@@ -83,7 +83,7 @@ class TestTrace:
                                   residual_l1=core.norm_lp(inst.noise, 1),
                                   status="optimal", iters=0)
         trace = analysis.trace_recovery(inst, fabricated, _estimate())
-        assert trace.all_ok()
+        assert all(r.holds for r in trace.rows)
         assert trace.row("error-triangle").lhs == 0.0
         assert trace.row("recovery-error-bound").lhs == 0.0
 

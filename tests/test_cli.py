@@ -145,6 +145,8 @@ class TestSolve:
         fo = matio.read_json(out_fo)
         assert abs(lp["objective"] - fo["objective"]) <= 1e-6 * (1 + lp["objective"])
         assert lp["config"]["method"] == "lp-exact"
+        assert set(fo) == {"config", "objective", "residual_l1", "status", "iters", "u_star",
+                           "certificate"}
 
     def test_zero_solution_when_epsilon_dominates(self, tmp_path):
         # a bundle whose epsilon exceeds ||y||_1 admits u = 0
@@ -182,6 +184,37 @@ class TestSolve:
         assert main(["solve", "--bundle", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "r.json")]) == 3
 
+    @pytest.mark.parametrize("name, edit, message", [
+        ("x.csv", lambda v: v[:-1], "dimensions"),
+        ("y.csv", lambda v: [v[0] + 1.0] + v[1:], "measurements"),
+        ("meta.json", {"k": 0}, "k must be in"),
+        ("meta.json", {"k": 11}, "k must be in"),
+        ("meta.json", {"k": 2.7}, "k must be an integer"),
+        ("meta.json", {"k": True}, "k must be an integer"),
+        ("meta.json", {"epsilon": -1.0}, "epsilon must be nonnegative"),
+        ("meta.json", {"epsilon": 0.0}, "noise l1 mass"),
+        ("meta.json", {"epsilon": None}, "inconsistent instance bundle"),
+        ("meta.json", {"epsilon": float("nan")}, "NaN is not a JSON number"),
+        ("meta.json", {"epsilon": float("inf")}, "Infinity is not a JSON number"),
+    ], ids=["short-x", "edited-y", "k-0", "k-above-n", "k-fraction", "k-boolean",
+            "negative-epsilon", "epsilon-below-noise", "null-epsilon", "nan-epsilon",
+            "infinite-epsilon"])
+    @pytest.mark.parametrize("method", ["first-order", "lp-exact"])
+    def test_hand_edited_bundle_exits_3_without_output(self, bundle, tmp_path, capsys,
+                                                       name, edit, message, method):
+        path = bundle / name
+        if name == "meta.json":
+            # json.dumps writes NaN and Infinity as the bare tokens
+            path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+        else:
+            values = edit(matio.read_vector_csv(path).tolist())
+            path.write_text("".join(f"{v!r}\n" for v in values))
+        out = tmp_path / "never.json"
+        assert main(["solve", "--bundle", str(bundle), "--out", str(out),
+                     "--method", method]) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nonconvergence_exits_4_but_writes_result(self, bundle, tmp_path):
         out = tmp_path / "res.json"
         assert main(["solve", "--bundle", str(bundle), "--out", str(out),
@@ -194,22 +227,19 @@ class TestSolve:
         from types import SimpleNamespace
         from sl1 import cli
         from sl1.rng import RngSpec, Stream
-        from sl1.solver import SolverResult
         st = Stream(RngSpec(17))
         inst = SimpleNamespace(phi=st.normal(48).reshape(12, 4), y=st.normal(12), epsilon=0.01)
         monkeypatch.setattr(cli, "load_bundle", lambda path: inst)
         out = tmp_path / "res.json"
         assert main(["solve", "--bundle", "unused", "--out", str(out),
                      "--method", "lp-exact"]) == 4
-        # the infinite objective and residual are JSON null, read back as inf
+        # the infinite objective and residual are JSON null, and a solve
+        # without a certificate writes none
         doc = _strict_json(out)
+        assert set(doc) == {"config", "objective", "residual_l1", "status", "iters", "u_star"}
         assert doc["status"] == "infeasible-detected"
         assert doc["objective"] is None and doc["residual_l1"] is None
-        result = SolverResult.from_json_dict(doc)
-        assert result.objective == float("inf") and result.residual_l1 == float("inf")
-        again = {"config": doc["config"]}
-        again.update(result.to_json_dict())
-        assert matio.dump_json(again) == out.read_text()
+        assert doc["u_star"] == [0.0] * 4
 
     def test_first_order_output_independent_of_blas_threads(self, tmp_path):
         # The smallest bundle found on which a first-order solve that took
@@ -283,6 +313,22 @@ class TestConditions:
                      "--k", "1", "--out", str(out), "--supports", "4",
                      "--pairs", "4"]) == 0
         assert matio.read_json(out)["estimate"]["k"] == 1
+
+    def test_non_finite_matrix_file_exits_3(self, tmp_path, capsys):
+        import struct
+        path = tmp_path / "nan.bin"
+        path.write_bytes(b"SL1M" + struct.pack("<II", 2, 2)
+                         + np.array([1.0, np.nan, 0.5, 2.0]).astype("<f8").tobytes())
+        out = tmp_path / "cond.json"
+        assert main(["conditions", "--matrix", str(path), "--k", "1", "--out", str(out)]) == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_neither_bundle_nor_matrix_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "cond.json"
+        assert main(["conditions", "--k", "1", "--out", str(out)]) == 2
+        assert "bundle or matrix" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_output_independent_of_threads_flag(self, bundle, tmp_path):
         out = tmp_path / "cond.json"
@@ -604,6 +650,14 @@ class TestConfig:
         assert main([command, "--config", str(config)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {key} must be ")
         assert _files(tmp_path) == before
+
+    @pytest.mark.parametrize("command", ["gen", "solve", "conditions", "trace", "grid"])
+    def test_config_holding_nan_exits_3(self, tmp_path, capsys, command):
+        config = tmp_path / "config.json"
+        config.write_text('{"out": "%s", "epsilon": NaN}' % (tmp_path / "never"))
+        assert main([command, "--config", str(config)]) == 3
+        assert "NaN is not a JSON number" in capsys.readouterr().err
+        assert _files(tmp_path) == ["config.json"]
 
     @pytest.mark.parametrize("command, key, value", [
         ("gen", "m", True),

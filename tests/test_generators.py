@@ -234,6 +234,13 @@ class TestBundleIo:
         assert back.epsilon == inst.epsilon and back.k == inst.k
         assert back.meta["sampler"] == generators.SAMPLER_NAME
 
+    def test_nan_epsilon_rejected(self):
+        import dataclasses
+        inst = generators.make_instance(
+            6, 4, 1, {"kind": "none"}, {"kind": "sparse"}, RngSpec(2))
+        with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+            dataclasses.replace(inst, epsilon=math.nan).validate()
+
     def test_tampered_bundle_rejected(self, tmp_path):
         from sl1 import matio
         inst = generators.make_instance(

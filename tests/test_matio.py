@@ -116,6 +116,29 @@ def test_json_writes_non_finite_floats_as_null():
     assert matio.dump_json(finite) == json.dumps(finite, indent=2, sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_json_non_finite_constants_rejected(tmp_path, constant):
+    # json accepts these by default, but no sl1 output holds them
+    path = tmp_path / "x.json"
+    path.write_text(f'{{"epsilon": {constant}}}')
+    with pytest.raises(matio.FormatError, match=constant):
+        matio.read_json(path)
+
+
+def test_failed_write_leaves_no_temp_file_and_target_unchanged(tmp_path):
+    target = tmp_path / "out.json"
+    target.write_text("old\n")
+    with pytest.raises(TypeError):
+        matio.atomic_write_bytes(target, "not bytes")
+    # a directory in the target's place makes the final rename fail
+    (tmp_path / "taken").mkdir()
+    with pytest.raises(OSError):
+        matio.write_json(tmp_path / "taken", {"a": 1})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json", "taken"]
+    assert target.read_text() == "old\n"
+    assert not any((tmp_path / "taken").iterdir())
+
+
 def test_invalid_json_raises_format_error(tmp_path):
     path = tmp_path / "x.json"
     path.write_text("{not json")

@@ -102,6 +102,17 @@ def test_pivot_limit_status():
 def test_rejects_bad_shapes():
     with pytest.raises(ValueError):
         simplex.solve_canonical([1.0, 2.0], [[1.0]], [1.0])
+    with pytest.raises(ValueError, match="two-dimensional"):
+        simplex.solve_canonical([1.0], [1.0], [1.0])
+
+
+@pytest.mark.parametrize("where", ["c", "a", "b"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_rejects_non_finite_data(where, value):
+    data = {"c": np.array([1.0, 2.0]), "a": np.array([[1.0, 1.0]]), "b": np.array([1.0])}
+    data[where].flat[0] = value
+    with pytest.raises(ValueError, match="finite"):
+        simplex.solve_canonical(data["c"], data["a"], data["b"])
 
 
 def _dual_lp(inst):
