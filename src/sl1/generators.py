@@ -276,13 +276,15 @@ def load_bundle(directory) -> SparseInstance:
     noise = matio.read_vector_csv(os.path.join(directory, "n.csv"))
     y = matio.read_vector_csv(os.path.join(directory, "y.csv"))
     try:
-        k = meta["k"]
-        if isinstance(k, bool) or isinstance(k, float) and not k.is_integer():
+        k, epsilon = meta["k"], meta["epsilon"]
+        integral = isinstance(k, int) or isinstance(k, float) and k.is_integer()
+        if isinstance(k, bool) or not integral:
             raise ValueError(f"k must be an integer, got {k!r}")
+        if isinstance(epsilon, bool) or not isinstance(epsilon, (int, float)):
+            raise ValueError(f"epsilon must be a number, got {epsilon!r}")
         instance = SparseInstance(
-            x=x, phi=phi, noise=noise, y=y,
-            epsilon=float(meta["epsilon"]), k=int(k), meta=meta)
+            x=x, phi=phi, noise=noise, y=y, epsilon=float(epsilon), k=int(k), meta=meta)
         instance.validate()
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise matio.FormatError(f"{directory}: inconsistent instance bundle ({exc})") from exc
     return instance

@@ -26,9 +26,12 @@ order, FMA use or split across threads: the bytes do not depend on the
 BLAS thread count.  The product takes about a quarter of the time of
 ``np.outer``; the zero second column and row are there because numpy
 computes a product with inner dimension 1 in its own loop, slower still
-than ``np.outer``.  The BLAS does return +0.0 for a -0.0 product, which
-changes t - p where t is -0.0; ``_pivot`` puts the full update back at
-those entries.
+than ``np.outer``.  The BLAS returns +0.0 where fl(f_i * r_j) is -0.0,
+which changes t - p only for t = -0.0, so the tableau is built with
+``+= 0.0`` and holds no -0.0 (``_pivot`` keeps it so).  A zero's sign,
+which may then differ from the full tableau's, reaches no result:
+pricing and the ratio test never read it, x comes from rows that have
+been pivot rows, and the cost row is updated from the pivot row alone.
 
 Dantzig pricing picks the entering variable (most negative reduced
 cost, exact ties going to the smallest variable index, not the slot);
@@ -65,8 +68,7 @@ class _Work:
 
     `factors` (m x 2) holds the pivot column in column 0 and `pivot_row`
     (2 x w) the scaled pivot row in row 0; their second column and row
-    stay zero.  `negative_zeros` lists the flat positions of the -0.0
-    entries of the tableau (see ``_pivot``)."""
+    stay zero."""
 
     def __init__(self, tableau):
         m, w = tableau.shape
@@ -75,7 +77,6 @@ class _Work:
         self.product = np.empty((m, w))
         self.ratios = np.empty(m)
         self.positive = np.empty(m, dtype=bool)
-        self.negative_zeros = np.flatnonzero((tableau == 0.0) & np.signbit(tableau))
 
 
 def _pivot(tableau, cost, basis, nonbasic, row, col, work):
@@ -84,14 +85,9 @@ def _pivot(tableau, cost, basis, nonbasic, row, col, work):
     tableau pivot entry for entry, where the leaving variable's column
     is the unit vector e_row and the entering one becomes it.
 
-    The BLAS product gives +0.0 where fl(f_i * r_j) is -0.0, and
-    t - (+0.0) differs from t - (-0.0) only for t = -0.0.  A -0.0 reaches
-    the tableau in two ways: from the LP's data, and by a division that
-    underflows in the pivot row (a subtraction never makes one from
-    other values).  The pivot row's full update r_j - 0 * r_j is
-    r_j + 0.0; a data -0.0 elsewhere that the update left at -0.0 takes
-    the full update's value -0.0 - fl(f_i * r_j) = -fl(f_i * r_j), and
-    stays tracked in `work.negative_zeros` while it is still -0.0."""
+    Given a tableau without -0.0 it leaves one without: a subtraction
+    never makes -0.0 from other values, and the pivot row's full update
+    r_j - 0 * r_j = r_j + 0.0 clears one that a division underflows to."""
     factors, pivot_row, product = work.factors, work.pivot_row, work.product
     piv = tableau[row, col]
     factors[:, 0] = tableau[:, col]
@@ -104,14 +100,6 @@ def _pivot(tableau, cost, basis, nonbasic, row, col, work):
     np.matmul(factors, pivot_row, out=product)
     tableau -= product
     prow += 0.0
-    if work.negative_zeros.size:
-        flat = tableau.reshape(-1)
-        kept = work.negative_zeros
-        values = flat[kept]
-        kept = kept[(values == 0.0) & np.signbit(values)]
-        i, j = np.divmod(kept, tableau.shape[1])
-        flat[kept] = -(factors[i, 0] * pivot_row[0, j])
-        work.negative_zeros = kept[np.signbit(flat[kept])]
     entering = cost[col]
     cost[col] = 0.0
     cost -= entering * prow
@@ -162,10 +150,12 @@ def solve_canonical(c, a, b, max_pivots: int = 100_000) -> SimplexResult:
 
     # Start from the slack basis at the origin; its reduced costs are c.
     # Variables n..n+m-1 are the slacks.  The tableau is built row-major
-    # whatever the layout of `a`, since every pivot updates it by rows.
+    # whatever the layout of `a`, since every pivot updates it by rows,
+    # and with every -0.0 of `a` and `b` made +0.0 (see ``_pivot``).
     tableau = np.empty((m, n + 1))
     tableau[:, :n] = a
     tableau[:, n] = b
+    tableau += 0.0
     cost = np.concatenate([c, [0.0]])
     basis = np.arange(n, n + m, dtype=np.int64)
     nonbasic = np.arange(n, dtype=np.int64)

@@ -191,14 +191,18 @@ class TestSolve:
         ("meta.json", {"k": 11}, "k must be in"),
         ("meta.json", {"k": 2.7}, "k must be an integer"),
         ("meta.json", {"k": True}, "k must be an integer"),
+        ("meta.json", {"k": "2"}, "k must be an integer"),
         ("meta.json", {"epsilon": -1.0}, "epsilon must be nonnegative"),
         ("meta.json", {"epsilon": 0.0}, "noise l1 mass"),
         ("meta.json", {"epsilon": None}, "inconsistent instance bundle"),
         ("meta.json", {"epsilon": float("nan")}, "NaN is not a JSON number"),
         ("meta.json", {"epsilon": float("inf")}, "Infinity is not a JSON number"),
-    ], ids=["short-x", "edited-y", "k-0", "k-above-n", "k-fraction", "k-boolean",
+        ("meta.json", {"epsilon": True}, "epsilon must be a number"),
+        ("meta.json", {"epsilon": "1.0"}, "epsilon must be a number"),
+        ("meta.json", {"epsilon": 10 ** 400}, "too large to convert to float"),
+    ], ids=["short-x", "edited-y", "k-0", "k-above-n", "k-fraction", "k-boolean", "k-string",
             "negative-epsilon", "epsilon-below-noise", "null-epsilon", "nan-epsilon",
-            "infinite-epsilon"])
+            "infinite-epsilon", "epsilon-boolean", "epsilon-string", "epsilon-beyond-float"])
     @pytest.mark.parametrize("method", ["first-order", "lp-exact"])
     def test_hand_edited_bundle_exits_3_without_output(self, bundle, tmp_path, capsys,
                                                        name, edit, message, method):

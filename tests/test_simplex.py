@@ -221,9 +221,14 @@ def _outer_pivot(tableau, cost, row, col):
     cost -= entering * tableau[row]
 
 
+def _flip_zero_signs(values):
+    """values with every +0.0 made -0.0 and every -0.0 made +0.0."""
+    return np.where(values == 0.0, -values, values)
+
+
 class TestSignedZeros:
-    """The BLAS update returns +0.0 for a -0.0 product; the pivot makes
-    up for it wherever the tableau holds -0.0."""
+    """The BLAS update returns +0.0 for a -0.0 product; the tableau is
+    built without -0.0, and a pivot keeps it so."""
 
     def test_lps_with_negative_zero_data(self):
         stream = Stream(RngSpec(404))
@@ -231,15 +236,40 @@ class TestSignedZeros:
             _assert_same_as_full_tableau(*_signed_zero_lp(stream, 2 + stream.integer_below(5),
                                                           2 + stream.integer_below(5)))
 
+    def test_sign_of_a_zero_in_a_and_b_changes_no_result(self, monkeypatch):
+        # c is left as it is: a zero objective over all-zero products
+        # can carry the sign of the cost zeros.  Every pivot starts and
+        # ends on a tableau without -0.0.
+        pivot = simplex._pivot
+
+        def checked_pivot(tableau, *args):
+            assert not np.signbit(tableau[tableau == 0.0]).any()
+            pivot(tableau, *args)
+            assert not np.signbit(tableau[tableau == 0.0]).any()
+
+        monkeypatch.setattr(simplex, "_pivot", checked_pivot)
+        stream = Stream(RngSpec(404))
+        lps = [_signed_zero_lp(stream, 2 + stream.integer_below(5), 2 + stream.integer_below(5))
+               for _ in range(300)]
+        for c, a, b in lps + _exact_grid_lps():
+            res = simplex.solve_canonical(c, a, b)
+            flipped = simplex.solve_canonical(c, _flip_zero_signs(a), _flip_zero_signs(b))
+            assert (res.status, res.pivots) == (flipped.status, flipped.pivots)
+            for field in ("x", "duals", "objective"):
+                assert _bytes(getattr(res, field)) == _bytes(getattr(flipped, field)), field
+
     def test_every_entry_after_every_pivot(self):
         # any pivot element of size >= 0.5, either sign; a third of the
-        # entries scaled by 1e-160, so that their products underflow
+        # entries scaled by 1e-160, so that their products underflow.
+        # The tableau starts as solve_canonical builds it, without -0.0;
+        # the cost row keeps the data's -0.0.
         stream = Stream(RngSpec(405))
         for case in range(120):
             m, n = 2 + stream.integer_below(6), 2 + stream.integer_below(6)
             c, a, b = _signed_zero_lp(stream, m, n)
             tableau = np.column_stack([a, b])
             tableau[stream.normal(m * (n + 1)).reshape(m, n + 1) > 0.4] *= 1e-160
+            tableau += 0.0
             cost = np.append(c, 0.0)
             reference, reference_cost = tableau.copy(), cost.copy()
             work = simplex._Work(tableau)

@@ -449,6 +449,43 @@ class TestDegenerateInputs:
         assert fo.residual_l1 <= eps + 1e-8
 
 
+def _transformed(name, phi, y, stream):
+    """(phi, y) under a transform that keeps the optimal ||u||_1: the
+    minimiser is permuted, sign-flipped or negated with it."""
+    m, n = phi.shape
+    if name == "column-permutation":
+        return phi[:, stream.permutation(n)], y
+    if name == "row-permutation":
+        rows = stream.permutation(m)
+        return phi[rows], y[rows]
+    if name == "column-signs":
+        return phi * np.where(stream.normal(n) < 0.0, -1.0, 1.0), y
+    if name == "negated-y":
+        return phi, -y
+    return -phi, y
+
+
+class TestMetamorphic:
+    """Both routes against the untransformed lp-exact objective under
+    transforms of (phi, y) that leave the optimal objective unchanged."""
+
+    @pytest.mark.parametrize("name", ["column-permutation", "row-permutation", "column-signs",
+                                      "negated-y", "negated-phi"])
+    def test_objective_invariant(self, name):
+        stream = Stream(RngSpec(9100))
+        for seed in range(40):
+            inst = _random_instance(seed, n_max=33, m_max=32)
+            base = solver.solve_lp_exact(solver.lp_formulate(inst.phi, inst.y, inst.epsilon))
+            phi, y = _transformed(name, inst.phi, inst.y, stream)
+            lp = solver.solve(phi, y, inst.epsilon, solver.SolverConfig(method="lp-exact"))
+            fo = solver.solve(phi, y, inst.epsilon)
+            for route, res, tol in (("lp-exact", lp, 1e-12), ("first-order", fo, 1e-6)):
+                assert res.status == "optimal", (seed, route)
+                assert res.residual_l1 <= inst.epsilon + 1e-8, (seed, route)
+                assert abs(res.objective - base.objective) <= tol * (1.0 + base.objective), \
+                    (seed, route)
+
+
 class TestLpStatusMapping:
     def test_pivot_limit_reports_iteration_limit(self):
         inst = _random_instance(8, n_max=25, m_max=25)
