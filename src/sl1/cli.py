@@ -3,12 +3,13 @@ solving, condition estimation, inequality tracing and trial grids.
 
 Every command accepts --config <json> plus flag overrides (flags win),
 and every output embeds the fully resolved configuration, so any run
-can be replayed from its own output.  The solver settings, the search
-budget and the grid settings are the fields of SolverConfig,
-SearchBudget and GridSpec: each field's name is its config key and
-flag, and its default and type are the command's.  Exit codes: 0
-success, 2 invalid arguments (a config value of the wrong type
-included), 3 I/O or format errors, 4 solver non-convergence.
+can be replayed from its own output.  The instance settings of gen,
+the solver settings, the search budget, the grid settings and the random
+stream are the fields of _GenSettings, SolverConfig, SearchBudget,
+GridSpec and RngSpec: each field's name is its config key and flag, and
+its default and type are the command's.  Exit codes: 0 success, 2
+invalid arguments (a config value of the wrong type included), 3 I/O or
+format errors, 4 solver non-convergence.
 """
 
 import argparse
@@ -39,11 +40,12 @@ def _load_config(path) -> dict:
     return doc
 
 
-def _resolve(args, keys: dict) -> dict:
-    """Merge defaults < config file < explicit CLI flags."""
-    config = _load_config(args.config) if getattr(args, "config", None) else {}
+def _resolve(args) -> dict:
+    """Merge defaults < config file < explicit CLI flags over the
+    command's keys."""
+    config = _load_config(args.config) if args.config else {}
     resolved = {}
-    for key, default in keys.items():
+    for key, default in args.keys.items():
         flag = getattr(args, key, None)
         if flag is not None:
             resolved[key] = flag
@@ -101,15 +103,18 @@ def _fields(*classes) -> list:
             for g in (_fields(f.type) if dataclasses.is_dataclass(f.type) else [f])]
 
 
-def _keys(cls) -> dict:
-    """Config keys and defaults of the settings of cls (None: required)."""
+def _keys(*classes) -> dict:
+    """Config keys and defaults of the settings of the classes (None:
+    required)."""
     return {f.name: None if f.default is dataclasses.MISSING else f.default
-            for f in _fields(cls)}
+            for f in _fields(*classes)}
 
 
 def _build(cls, resolved: dict):
-    """cls from the resolved config, each field's value coerced to its type."""
+    """cls from the resolved config, each field's value coerced to its
+    type; an unset value stays None where that is the field's default."""
     return cls(**{f.name: _build(f.type, resolved) if dataclasses.is_dataclass(f.type)
+                  else None if resolved[f.name] is None and f.default is None
                   else _coerce(f.name, resolved[f.name], f.type)
                   for f in dataclasses.fields(cls)})
 
@@ -125,43 +130,40 @@ def _parse_amplitude(value):
     return value
 
 
-# Settings shared by several commands, each declared once: the random
-# stream's keys here, the solver's and the searches' as dataclass fields.
-_RNG_KEYS = {"seed": 0, "stream": 0}
-_SOLVER_KEYS = _keys(SolverConfig)
-_SEARCH_KEYS = {**_RNG_KEYS, **_keys(SearchBudget)}
+@dataclasses.dataclass(frozen=True)
+class _GenSettings:
+    """The instance settings of gen; an unset epsilon makes sparse noise
+    use scale."""
 
-_GEN_KEYS = {
-    "out": None, "n": None, "m": None, "k": None, **_RNG_KEYS,
-    "signal": "sparse", "amplitude": "unit", "p": 1.0,
-    "noise": "none", "s": 1, "epsilon": None, "scale": 1.0, "quantile": 0.99,
-}
-_GEN_NUMBERS = {"n": int, "m": int, "k": int, "p": float,
-                "s": int, "epsilon": float, "scale": float, "quantile": float}
+    n: int
+    m: int
+    k: int
+    signal: str = "sparse"
+    amplitude: str | list = "unit"   # a law name or ["uniform", a, b]
+    p: float = 1.0
+    noise: str = "none"
+    s: int = 1
+    epsilon: float = None
+    scale: float = 1.0
+    quantile: float = 0.99
 
 
 def cmd_gen(args) -> int:
-    resolved = _resolve(args, _GEN_KEYS)
+    resolved = _resolve(args)
     _require(resolved, "out", "n", "m", "k")
     resolved["amplitude"] = _parse_amplitude(resolved["amplitude"])
-    # every number is coerced; only epsilon may stay unset (sparse noise then uses scale)
-    num = {key: None if key == "epsilon" and resolved[key] is None
-           else _coerce(key, resolved[key], kind) for key, kind in _GEN_NUMBERS.items()}
-    signal = {"kind": resolved["signal"], "amplitude": resolved["amplitude"], "p": num["p"]}
-    noise = {"kind": resolved["noise"], "s": num["s"], "epsilon": num["epsilon"],
-             "scale": num["scale"], "quantile": num["quantile"]}
-    instance = make_instance(num["n"], num["m"], num["k"], noise, signal,
-                             _build(RngSpec, resolved))
+    gen = _build(_GenSettings, resolved)
+    signal = {"kind": gen.signal, "amplitude": gen.amplitude, "p": gen.p}
+    noise = {"kind": gen.noise, "s": gen.s, "epsilon": gen.epsilon, "scale": gen.scale,
+             "quantile": gen.quantile}
+    instance = make_instance(gen.n, gen.m, gen.k, noise, signal, _build(RngSpec, resolved))
     save_bundle(resolved["out"], instance, extra_meta={"config": resolved})
     print(f"wrote instance bundle to {resolved['out']}")
     return EXIT_OK
 
 
-_SOLVE_KEYS = {"bundle": None, "out": None, **_SOLVER_KEYS}
-
-
 def cmd_solve(args) -> int:
-    resolved = _resolve(args, _SOLVE_KEYS)
+    resolved = _resolve(args)
     _require(resolved, "bundle", "out")
     instance = load_bundle(resolved["bundle"])
     result = solve(instance.phi, instance.y, instance.epsilon, _build(SolverConfig, resolved))
@@ -173,11 +175,8 @@ def cmd_solve(args) -> int:
     return EXIT_OK if result.is_usable() else EXIT_SOLVER
 
 
-_CONDITIONS_KEYS = {"bundle": None, "matrix": None, "out": None, "k": None, **_SEARCH_KEYS}
-
-
 def cmd_conditions(args) -> int:
-    resolved = _resolve(args, _CONDITIONS_KEYS)
+    resolved = _resolve(args)
     _require(resolved, "out")
     if resolved["bundle"]:
         instance = load_bundle(resolved["bundle"])
@@ -199,11 +198,8 @@ def cmd_conditions(args) -> int:
     return EXIT_OK
 
 
-_TRACE_KEYS = {**_SOLVE_KEYS, **_SEARCH_KEYS}
-
-
 def cmd_trace(args) -> int:
-    resolved = _resolve(args, _TRACE_KEYS)
+    resolved = _resolve(args)
     _require(resolved, "bundle", "out")
     instance = load_bundle(resolved["bundle"])
     config, budget, rng = (_build(cls, resolved) for cls in (SolverConfig, SearchBudget, RngSpec))
@@ -225,11 +221,8 @@ def cmd_trace(args) -> int:
     return EXIT_OK
 
 
-_GRID_KEYS = {"out": None, **_keys(GridSpec)}
-
-
 def cmd_grid(args) -> int:
-    resolved = _resolve(args, _GRID_KEYS)
+    resolved = _resolve(args)
     _require(resolved, "out", "n", "m_values", "k_values", "s_values")
     resolved["amplitude"] = _parse_amplitude(resolved["amplitude"])
     spec = _build(GridSpec, resolved)
@@ -244,12 +237,27 @@ def cmd_grid(args) -> int:
     return EXIT_OK
 
 
+_CHOICES = {"method": METHODS, "signal": SIGNAL_KINDS, "noise": NOISE_KINDS}
+
+
 def _add_flags(cmd, *classes):
     """One flag per setting of the classes, typed as its field."""
     for f in _fields(*classes):
         cmd.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
                          type=f.type if f.type in (int, float) else None,
-                         choices=METHODS if f.name == "method" else None)
+                         choices=_CHOICES.get(f.name))
+
+
+# name: (handler, help, the command's own keys, its settings classes)
+_COMMANDS = {
+    "gen": (cmd_gen, "generate an instance bundle", ("out",), (_GenSettings, RngSpec)),
+    "solve": (cmd_solve, "solve a bundle", ("bundle", "out"), (SolverConfig,)),
+    "conditions": (cmd_conditions, "estimate deviation constants",
+                   ("bundle", "matrix", "out", "k"), (RngSpec, SearchBudget)),
+    "trace": (cmd_trace, "solve a bundle and trace the bound inequalities",
+              ("bundle", "out"), (SolverConfig, RngSpec, SearchBudget)),
+    "grid": (cmd_grid, "run a trial grid", ("out",), (GridSpec,)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,50 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="accepted for compatibility; has no effect (every run "
                              "is sequential and its output does not depend on it)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("gen", help="generate an instance bundle")
-    gen.add_argument("--config")
-    gen.add_argument("--out")
-    for flag in ("n", "m", "k", "seed", "stream", "s"):
-        gen.add_argument(f"--{flag}", type=int)
-    gen.add_argument("--signal", choices=SIGNAL_KINDS)
-    gen.add_argument("--amplitude")
-    gen.add_argument("--p", type=float)
-    gen.add_argument("--noise", choices=NOISE_KINDS)
-    gen.add_argument("--epsilon", type=float)
-    gen.add_argument("--scale", type=float)
-    gen.add_argument("--quantile", type=float)
-    gen.set_defaults(func=cmd_gen)
-
-    slv = sub.add_parser("solve", help="solve a bundle")
-    slv.add_argument("--config")
-    slv.add_argument("--bundle")
-    slv.add_argument("--out")
-    _add_flags(slv, SolverConfig)
-    slv.set_defaults(func=cmd_solve)
-
-    cond = sub.add_parser("conditions", help="estimate deviation constants")
-    cond.add_argument("--config")
-    cond.add_argument("--bundle")
-    cond.add_argument("--matrix")
-    cond.add_argument("--out")
-    cond.add_argument("--k", type=int)
-    _add_flags(cond, RngSpec, SearchBudget)
-    cond.set_defaults(func=cmd_conditions)
-
-    trc = sub.add_parser("trace", help="solve a bundle and trace the bound inequalities")
-    trc.add_argument("--config")
-    trc.add_argument("--bundle")
-    trc.add_argument("--out")
-    _add_flags(trc, SolverConfig, RngSpec, SearchBudget)
-    trc.set_defaults(func=cmd_trace)
-
-    grd = sub.add_parser("grid", help="run a trial grid")
-    grd.add_argument("--config")
-    grd.add_argument("--out")
-    _add_flags(grd, GridSpec)
-    grd.set_defaults(func=cmd_grid)
-
+    for name, (func, help_text, own, classes) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=help_text)
+        cmd.add_argument("--config")
+        for key in own:  # paths, and the sparsity k of conditions
+            cmd.add_argument("--" + key, type=int if key == "k" else None)
+        _add_flags(cmd, *classes)
+        cmd.set_defaults(func=func, keys={**dict.fromkeys(own), **_keys(*classes)})
     return parser
 
 

@@ -47,19 +47,18 @@ def half_normal_mean() -> float:
     return math.sqrt(2.0 / math.pi)
 
 
-def l1_norm_deviation(phi, u, calibration: float = None) -> float:
+def l1_norm_deviation(phi, u) -> float:
     """Relative deviation of the l1 sketch on a single vector:
-    |(1/M)||phi u||_1 - nu ||u||_2| / ||u||_2 with nu = sqrt(2/pi) by default."""
+    |(1/M)||phi u||_1 - nu ||u||_2| / ||u||_2 with nu = sqrt(2/pi)."""
     phi = core.as_matrix(phi, "phi")
     u = core.as_vector(u, "u")
     if u.size != phi.shape[1]:
         raise ValueError("u length does not match phi columns")
-    nu = half_normal_mean() if calibration is None else float(calibration)
     u_norm = core.norm_lp(u, 2)
     if u_norm == 0.0:
         raise ValueError("u must be nonzero")
     sketch = float(np.sum(np.abs(phi @ u))) / phi.shape[0]
-    return abs(sketch - nu * u_norm) / u_norm
+    return abs(sketch - half_normal_mean() * u_norm) / u_norm
 
 
 def sign_cross_deviation(phi, u, v) -> float:

@@ -69,13 +69,20 @@ def write_json(path, obj) -> None:
 
 def read_json(path) -> dict:
     """The JSON document at path, which must be strict JSON: NaN,
-    Infinity and -Infinity, which no sl1 output holds, are refused."""
+    Infinity and -Infinity, which no sl1 output holds, are refused, and
+    so is a number that overflows a float, such as 1e400."""
     def refuse(constant):
         raise FormatError(f"{path}: {constant} is not a JSON number")
 
+    def finite(number):
+        value = float(number)
+        if not math.isfinite(value):
+            raise FormatError(f"{path}: {number} is beyond float range")
+        return value
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh, parse_constant=refuse)
+            return json.load(fh, parse_constant=refuse, parse_float=finite)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: invalid JSON ({exc})") from exc
 

@@ -35,7 +35,7 @@ def _splitmix64(z: int) -> int:
 class RngSpec:
     """Key of a reproducible random stream."""
 
-    seed: int
+    seed: int = 0
     stream: int = 0
 
     def __post_init__(self):

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from sl1 import matio
-from sl1.cli import main
+from sl1.cli import build_parser, main
 from sl1.generators import load_bundle
 
 
@@ -200,14 +201,19 @@ class TestSolve:
         ("meta.json", {"epsilon": True}, "epsilon must be a number"),
         ("meta.json", {"epsilon": "1.0"}, "epsilon must be a number"),
         ("meta.json", {"epsilon": 10 ** 400}, "too large to convert to float"),
+        ("meta.json", "1e400", "1e400 is beyond float range"),
     ], ids=["short-x", "edited-y", "k-0", "k-above-n", "k-fraction", "k-boolean", "k-string",
             "negative-epsilon", "epsilon-below-noise", "null-epsilon", "nan-epsilon",
-            "infinite-epsilon", "epsilon-boolean", "epsilon-string", "epsilon-beyond-float"])
+            "infinite-epsilon", "epsilon-boolean", "epsilon-string", "epsilon-beyond-float",
+            "epsilon-overflow"])
     @pytest.mark.parametrize("method", ["first-order", "lp-exact"])
     def test_hand_edited_bundle_exits_3_without_output(self, bundle, tmp_path, capsys,
                                                        name, edit, message, method):
         path = bundle / name
-        if name == "meta.json":
+        if isinstance(edit, str):  # epsilon's raw text: no float dumps as 1e400
+            meta = json.loads(path.read_text())
+            path.write_text(json.dumps({**meta, "epsilon": "RAW"}).replace('"RAW"', edit))
+        elif name == "meta.json":
             # json.dumps writes NaN and Infinity as the bare tokens
             path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
         else:
@@ -615,8 +621,9 @@ class TestConfig:
                  **_SOLVER_ECHO},
     }
 
-    @pytest.mark.parametrize("command", list(ECHOES))
-    def test_default_config_echo(self, tmp_path, command):
+    @staticmethod
+    def _default_echo(tmp_path, command):
+        """The config echo of command run with its required flags only."""
         bundle, out = str(tmp_path / "bundle"), str(tmp_path / "out")
         assert main(["gen", "--out", bundle, "--n", "6", "--m", "8", "--k", "1"]) == 0
         flags = {"gen": ["--n", "6", "--m", "8", "--k", "1"],
@@ -625,11 +632,30 @@ class TestConfig:
                      *flags.get(command, ["--bundle", bundle])]) == 0
         written = {"gen": "meta.json", "grid": "summary.json"}.get(command)
         config = matio.read_json(os.path.join(out, written) if written else out)["config"]
+        return config, bundle, out
+
+    @pytest.mark.parametrize("command", list(ECHOES))
+    def test_default_config_echo(self, tmp_path, command):
+        config, bundle, out = self._default_echo(tmp_path, command)
         expected = {key: bundle if value == "BUNDLE" else value
                     for key, value in self.ECHOES[command].items()}
         expected["out"] = out
         # the JSON text tells 1 from 1.0
         assert json.dumps(config, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+    @pytest.mark.parametrize("command", list(ECHOES))
+    def test_one_flag_per_config_key(self, tmp_path, command):
+        # every setting has a flag and a config key, and nothing else does
+        sub = next(action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)).choices[command]
+        dests = {action.dest for action in sub._actions if action.option_strings}
+        assert dests - {"help", "config"} == set(self._default_echo(tmp_path, command)[0])
+
+    def test_gen_epsilon_flag_echoes_a_number(self, tmp_path):
+        out = tmp_path / "bundle"
+        assert main(["gen", "--out", str(out), "--n", "6", "--m", "8", "--k", "1",
+                     "--noise", "sparse", "--s", "2", "--epsilon", "0.75"]) == 0
+        assert json.dumps(matio.read_json(out / "meta.json")["config"]["epsilon"]) == "0.75"
 
     @pytest.mark.parametrize("command, key, value", [
         ("gen", "k", [1]),
@@ -662,6 +688,16 @@ class TestConfig:
         assert main([command, "--config", str(config)]) == 3
         assert "NaN is not a JSON number" in capsys.readouterr().err
         assert _files(tmp_path) == ["config.json"]
+
+    def test_config_number_beyond_float_range_exits_3(self, bundle, tmp_path, capsys):
+        # json reads 1e400 as inf, on which this solve would run and exit 4
+        config, out = tmp_path / "config.json", tmp_path / "never.json"
+        config.write_text('{"bundle": "%s", "out": "%s", "feasibility_tol": 1e400}'
+                          % (bundle, out))
+        capsys.readouterr()
+        assert main(["solve", "--config", str(config)]) == 3
+        assert "1e400 is beyond float range" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, key, value", [
         ("gen", "m", True),

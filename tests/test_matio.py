@@ -116,9 +116,9 @@ def test_json_writes_non_finite_floats_as_null():
     assert matio.dump_json(finite) == json.dumps(finite, indent=2, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
 def test_json_non_finite_constants_rejected(tmp_path, constant):
-    # json accepts these by default, but no sl1 output holds them
+    # json accepts these by default (1e400 as inf), but no sl1 output holds them
     path = tmp_path / "x.json"
     path.write_text(f'{{"epsilon": {constant}}}')
     with pytest.raises(matio.FormatError, match=constant):
