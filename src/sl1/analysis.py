@@ -60,7 +60,7 @@ def recovery_error_bound_sharp(epsilon: float, m: int, e0: float, calibration: f
         + 4.0 * ((calibration + cross_dev - norm_dev) / theta) * float(e0)
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRow:
     name: str
     lhs: float
@@ -79,12 +79,27 @@ class TraceRow:
                 "conditional": self.conditional, "note": self.note}
 
 
-@dataclass
+@dataclass(slots=True)
 class RecoveryTrace:
-    rows: list
+    """The inequality chain of one solve.  The two sides of the rows are
+    kept in one (rows, 2) array beside their names and notes, and `rows`
+    builds the TraceRow objects on each access, so a kept trace holds one
+    array instead of an object and two floats per row."""
+
+    names: tuple
+    sides: np.ndarray
+    notes: tuple
+    unconditional: int  # the leading rows, which hold for any feasible minimiser
     inputs: dict
     condition: str
     deviation_provenance: str
+
+    @property
+    def rows(self) -> list:
+        return [TraceRow(name=name, lhs=lhs, rhs=rhs, holds=rhs - lhs >= 0.0,
+                         conditional=i >= self.unconditional, note=note)
+                for i, (name, (lhs, rhs), note)
+                in enumerate(zip(self.names, self.sides.tolist(), self.notes))]
 
     def row(self, name: str) -> TraceRow:
         for r in self.rows:
@@ -99,12 +114,6 @@ class RecoveryTrace:
         return {"inputs": self.inputs, "condition": self.condition,
                 "deviation_provenance": self.deviation_provenance,
                 "rows": [r.as_dict() for r in self.rows]}
-
-
-def _row(name, lhs, rhs, conditional, note=""):
-    lhs, rhs = float(lhs), float(rhs)
-    return TraceRow(name=name, lhs=lhs, rhs=rhs, holds=rhs - lhs >= 0.0,
-                    conditional=conditional, note=note)
 
 
 def trace_recovery(instance: SparseInstance, result: SolverResult,
@@ -153,32 +162,32 @@ def trace_recovery(instance: SparseInstance, result: SolverResult,
     fp_budget = 8.0 * np.finfo(float).eps * x.size * max(1.0, u_mass, x_mass)
     minimality_slack = max(0.0, u_mass - x_mass) + fp_budget
 
+    # (name, lhs, rhs, note); the first five rows are unconditional
     rows = [
         # ||h|| <= ||h_T01|| + ||h_T01c||; the lhs is recombined from the
         # two disjoint pieces (hypot), which equals ||h|| exactly in real
         # arithmetic and keeps the degenerate cases rounding-safe.
-        _row("error-triangle", math.hypot(n01, n01c), n01 + n01c, False),
-        _row("tail-vs-block-sum", n01c, tail_sum, False),
-        _row("block-compressibility", tail_sum,
-             n01 + 2.0 * e0 + minimality_slack / math.sqrt(k), False,
-             note=f"l1-minimality slack {minimality_slack:.3e}"),
-        _row("holder-sign-inner", float(np.sum(signs01 * phi_h)),
-             float(np.sum(np.abs(phi_h))), False),
-        _row("residual-feasibility", float(np.sum(np.abs(phi_h))),
-             2.0 * eps + 2.0 * feasibility_tol, False),
+        ("error-triangle", math.hypot(n01, n01c), n01 + n01c, ""),
+        ("tail-vs-block-sum", n01c, tail_sum, ""),
+        ("block-compressibility", tail_sum,
+         n01 + 2.0 * e0 + minimality_slack / math.sqrt(k),
+         f"l1-minimality slack {minimality_slack:.3e}"),
+        ("holder-sign-inner", float(np.sum(signs01 * phi_h)),
+         float(np.sum(np.abs(phi_h))), ""),
+        ("residual-feasibility", float(np.sum(np.abs(phi_h))),
+         2.0 * eps + 2.0 * feasibility_tol, ""),
     ]
     for j, blk in enumerate(part.tail_blocks(), start=2):
         cross = abs(float(np.sum(signs01 * core.mat_vec(phi, core.restrict(h, blk)))))
         bound = m * estimate.cross_dev_lower * core.norm_lp(core.restrict(h, blk), 2)
-        rows.append(_row(f"cross-term-block-{j:03d}", cross, bound, True,
-                         note="uses the estimated cross deviation"))
-    rows.append(_row("sketch-lower-bound",
-                     m * (nu - estimate.norm_dev_lower) * n01,
-                     float(np.sum(np.abs(phi_h01))), True,
-                     note="uses the estimated norm deviation"))
-    rows.append(_row("recovery-error-bound", core.norm_lp(h, 2),
-                     recovery_error_bound(eps, m, e0), True,
-                     note=f"condition {verdict}"))
+        rows.append((f"cross-term-block-{j:03d}", cross, bound,
+                     "uses the estimated cross deviation"))
+    rows.append(("sketch-lower-bound",
+                 m * (nu - estimate.norm_dev_lower) * n01,
+                 float(np.sum(np.abs(phi_h01))), "uses the estimated norm deviation"))
+    rows.append(("recovery-error-bound", core.norm_lp(h, 2),
+                 recovery_error_bound(eps, m, e0), f"condition {verdict}"))
+    names, lhs, rhs, notes = zip(*rows)
 
     inputs = {
         "n": instance.n, "m": m, "k": k, "epsilon": eps, "e0": e0,
@@ -189,7 +198,8 @@ def trace_recovery(instance: SparseInstance, result: SolverResult,
         "residual_l1": residual,
         "solver_status": result.status,
     }
-    return RecoveryTrace(rows=rows, inputs=inputs, condition=verdict,
+    return RecoveryTrace(names=names, sides=np.column_stack((lhs, rhs)), notes=notes,
+                         unconditional=5, inputs=inputs, condition=verdict,
                          deviation_provenance="exhaustive" if estimate.exhaustive else "sampled")
 
 

@@ -13,13 +13,19 @@ primal and dual step sizes, follows the restart moves, and the step
 size adapts to a local bound on phi as in PDLP (Applegate et al.,
 NeurIPS 2021), so the route runs on mat-vecs and elementwise work and
 never factorises phi, except for the feasibility polish late in a long
-solve (after m iterations).  The primal-dual solver certifies
-optimality through an explicit duality gap: any q with
+solve (after m iterations).  Restarted PDHG settles on the optimal
+support long before its gap closes (Lu and Yang, 2023), so a solve that
+has run m iterations finishes on that active set as crossover does
+(Megiddo, 1991): once the sign pattern of u holds between two gap
+checks, the LP restricted to its support is solved exactly, once per
+pattern, and its vertex and its dual bound join the gap test (the
+certificate counts these "restricted_lps").  The primal-dual solver
+certifies optimality through an explicit duality gap: any q with
 ||phi.T @ q||_inf <= 1 gives the lower bound q @ y - epsilon * ||q||_inf
-on the optimal value, so a feasible iterate whose objective meets that
-bound up to tolerance is accepted.  That gap test is its only stop rule
-besides the iteration cap, and the gap it accepted is the one reported
-in the certificate.
+on the optimal value, so a feasible point whose objective meets that
+bound up to a relative tolerance is accepted.  That gap test, checked
+on the whole problem, is its only stop rule besides the iteration cap,
+and the gap it accepted is the one reported in the certificate.
 """
 
 import math
@@ -68,7 +74,7 @@ class SolverConfig:
             raise ValueError(f"unknown method {self.method!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class SolverResult:
     u_star: np.ndarray
     objective: float
@@ -89,7 +95,8 @@ class SolverResult:
             "u_star": [float(v) for v in self.u_star],
         }
         if self.certificate is not None:
-            out["certificate"] = self.certificate
+            out["certificate"] = {key: value.tolist() if isinstance(value, np.ndarray) else value
+                                  for key, value in self.certificate.items()}
         return out
 
 
@@ -144,6 +151,8 @@ def project_l1_ball(v, radius: float) -> np.ndarray:
     # the radius are of one scale.
     top = dropped[0]
     theta, _ = _threshold_search(dropped - top, radius)
+    if theta is None:  # only an inf or a NaN in v leaves no candidate here
+        raise ValueError(f"v must be finite, got {v}")
     return np.sign(v) * np.maximum((mags - top) - theta, 0.0)
 
 
@@ -231,7 +240,7 @@ def solve_lp_exact(lp: LpProblem, config: SolverConfig = None) -> SolverResult:
     u = lp.signal_from(z)
     dual_obj = -res.objective * scale
     certificate = {
-        "duals": [float(v) for v in -res.x],
+        "duals": -res.x,
         "dual_objective": dual_obj,
         "strong_duality_gap": float(lp.c @ z - dual_obj),
     }
@@ -371,14 +380,24 @@ def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> So
     the average iterate, that is feasible up to feasibility_tol *
     min(1, ||y||_1) is compared with the better dual lower bound of the
     current and the average dual; the solve stops "optimal" only when
-    that duality gap is within objective_tol (relative) of zero, and
-    reports the gap it accepted.  A nearly feasible point is polished
-    (_FeasibilityPolish) only once the solve has run m iterations: the
-    polish needs pinv(phi), which costs about as much as m iterations'
-    mat-vecs, so a solve that ends sooner never pays for it.  Hitting the
-    iteration cap returns status "iteration-limit" carrying the best
-    feasible point seen, if any.  The certificate
-    counts the restarts and the rejected steps.
+    that duality gap is within objective_tol * obj of zero (the optimum
+    is positive once ||y||_1 > epsilon), and reports the gap it accepted.
+    A nearly feasible point is polished (_FeasibilityPolish) only once
+    the solve has run m iterations: the polish needs pinv(phi), which
+    costs about as much as m iterations' mat-vecs, so a solve that ends
+    sooner never pays for it.
+
+    The finish on the active set takes the same m-iteration gate: at a
+    check whose gap test fails, where the sign pattern of u equals the
+    one at the previous check and has not been tried, the LP restricted
+    to the support S of u is solved exactly (solve_lp_exact).  Its vertex, padded with zeros,
+    is offered as a candidate, and its duals d give q = d[m:2m] - d[:m],
+    whose bound covers every column of phi; the gap test then decides on
+    the whole problem as before, so a wrong support costs one LP and
+    stops nothing.  Hitting the iteration cap returns status
+    "iteration-limit" carrying the best feasible point seen, if any.
+    The certificate counts the restarts, the rejected steps and the
+    restricted LPs run ("restricted_lps").
     """
     phi = core.as_matrix(phi, "phi")
     y = core.as_vector(y, "y")
@@ -395,7 +414,8 @@ def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> So
     if y_l1 <= epsilon:
         # zero is feasible and l1-minimal
         return SolverResult(np.zeros(n), 0.0, y_l1, STATUS_OPTIMAL, 0,
-                            {"stop": "zero-feasible", "restarts": 0, "step_rejections": 0})
+                            {"stop": "zero-feasible", "restarts": 0, "step_rejections": 0,
+                             "restricted_lps": 0})
 
     largest = float(np.max(np.abs(phi)))
     if largest <= 0.0:
@@ -422,6 +442,13 @@ def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> So
     run = 0                        # iterates summed since the last restart
     restarts = 0
     incumbent = _Incumbent(phi, y, epsilon, cfg.feasibility_tol * min(1.0, y_l1))
+
+    def closes(gap):
+        # a gap below -tolerance shows an incumbent outside the ball
+        return incumbent.u is not None and abs(gap) <= otol * abs(incumbent.obj)
+
+    pattern = None                 # the sign pattern of u at the previous check
+    tried = set()                  # the patterns whose restricted LP has run
     stop = "cap"
 
     for it in range(1, cfg.max_iters + 1):
@@ -442,8 +469,23 @@ def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> So
                 incumbent.offer(u_avg, phi_u_avg, polish)
                 lower = max(lower, _dual_lower_bound(q_avg, phit_q_avg, y, epsilon))
             gap = incumbent.obj - lower
-            # a gap below -tolerance shows an incumbent outside the ball
-            if incumbent.u is not None and abs(gap) <= otol * (1.0 + abs(incumbent.obj)):
+            settled, pattern = pattern, np.sign(u).astype(np.int8).tobytes()
+            if (not closes(gap) and polish and settled == pattern
+                    and pattern not in tried and u.any()):
+                # the finish: the exact vertex and dual of the LP on the
+                # support (an empty one holds no feasible point here)
+                tried.add(pattern)
+                support = np.flatnonzero(u)
+                exact = solve_lp_exact(lp_formulate(phi[:, support], y, epsilon))
+                if exact.is_usable():
+                    u_exact = np.zeros(n)
+                    u_exact[support] = exact.u_star
+                    incumbent.offer(u_exact, phi @ u_exact, polish)
+                    duals = exact.certificate["duals"]
+                    q_exact = duals[m:2 * m] - duals[:m]
+                    lower = max(lower, _dual_lower_bound(q_exact, phi.T @ q_exact, y, epsilon))
+                    gap = incumbent.obj - lower
+            if closes(gap):
                 stop = "gap"
                 break
         if last:
@@ -485,7 +527,8 @@ def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> So
         res_out = residual_l1(phi, y, u)
     status = STATUS_OPTIMAL if stop == "gap" else STATUS_ITER_LIMIT
 
-    certificate = {"stop": stop, "restarts": restarts, "step_rejections": stepper.rejections}
+    certificate = {"stop": stop, "restarts": restarts, "step_rejections": stepper.rejections,
+                   "restricted_lps": len(tried)}
     if incumbent.u is not None:
         certificate["duality_gap"] = float(gap)
     return SolverResult(u_out, float(obj_out), float(res_out), status, it, certificate)

@@ -94,7 +94,7 @@ def test_criterion_1_solver_oracle_equivalence(small_scale_solves):
 
 # sha256 of the criterion-1 first-order results, each to_json_dict()
 # dumped with sorted keys, in order (x86-64 Linux, numpy 2.4)
-CRITERION_1_FIRST_ORDER = "875ba0177dfd48bbbeb926ef3d1c5e106b93abae1fc9a2d134522febf2516061"
+CRITERION_1_FIRST_ORDER = "bbba4f1a48fa9a6a11674b39800db1ec156c80d3e76d72c5d75e68f3c8c1181d"
 
 
 def test_criterion_1_first_order_bytes_pinned(small_scale_solves):
@@ -102,7 +102,10 @@ def test_criterion_1_first_order_bytes_pinned(small_scale_solves):
     digest = hashlib.sha256()
     for _, _, fo in runs:
         digest.update(json.dumps(fo.to_json_dict(), sort_keys=True).encode())
-    assert sum(fo.iters for _, _, fo in runs) == 28_190
+    iters = [fo.iters for _, _, fo in runs]
+    assert sum(iters) == 9_680  # 28,190 before the finish on the active set
+    # the finish cut the tail from a p90 of 612 and a max of 5,570
+    assert np.percentile(iters, 90) < 250 and max(iters) < 2_000
     assert digest.hexdigest() == CRITERION_1_FIRST_ORDER
 
 

@@ -522,7 +522,7 @@ class TestGrid:
 
     # the same for the first-order grid at 256 x {96, 128}, k = 5,
     # s in {0, 5}, 30 trials per cell, seed 14142 (numpy 2.4)
-    FIRST_ORDER_TRIALS = "ca350a5f56111915d4c5dd2b7c953b9355c9073c84c750a48fe9d8a7660a5e2a"
+    FIRST_ORDER_TRIALS = "7e8815397c6807149f98b8489d7e72494c13c45e1bd2f394511df3263a4da53c"
 
     def test_first_order_grid_bytes_pinned(self, tmp_path):
         out = tmp_path / "grid"
