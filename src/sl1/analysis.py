@@ -82,17 +82,27 @@ class TraceRow:
 @dataclass(slots=True)
 class RecoveryTrace:
     """The inequality chain of one solve.  The two sides of the rows are
-    kept in one (rows, 2) array beside their names and notes, and `rows`
-    builds the TraceRow objects on each access, so a kept trace holds one
-    array instead of an object and two floats per row."""
+    kept in one (rows, 2) array, and `rows` builds the TraceRow objects on
+    each access, so a kept trace holds one array instead of an object and
+    two floats per row; the row names and notes follow from the row count
+    and are built on access too."""
 
-    names: tuple
     sides: np.ndarray
-    notes: tuple
+    minimality_slack: float  # the block-compressibility row's allowance
     unconditional: int  # the leading rows, which hold for any feasible minimiser
     inputs: dict
     condition: str
     deviation_provenance: str
+
+    @property
+    def names(self) -> tuple:
+        return _row_layout(len(self.sides))[0]
+
+    @property
+    def notes(self) -> tuple:
+        fixed = _row_layout(len(self.sides))[1]
+        return (fixed[:2] + (f"l1-minimality slack {self.minimality_slack:.3e}",)
+                + fixed[3:-1] + (f"condition {self.condition}",))
 
     @property
     def rows(self) -> list:
@@ -114,6 +124,23 @@ class RecoveryTrace:
         return {"inputs": self.inputs, "condition": self.condition,
                 "deviation_provenance": self.deviation_provenance,
                 "rows": [r.as_dict() for r in self.rows]}
+
+
+# the rows before and after the cross terms (one per tail block); the
+# five before them are the unconditional ones
+_HEAD_ROWS = ("error-triangle", "tail-vs-block-sum", "block-compressibility",
+              "holder-sign-inner", "residual-feasibility")
+_FOOT_ROWS = ("sketch-lower-bound", "recovery-error-bound")
+
+
+def _row_layout(rows: int) -> tuple:
+    """The names of the rows of a trace with `rows` rows, and the notes
+    that do not depend on the solve (empty where one does)."""
+    blocks = rows - len(_HEAD_ROWS) - len(_FOOT_ROWS)
+    cross = tuple(f"cross-term-block-{j:03d}" for j in range(2, blocks + 2))
+    return (_HEAD_ROWS + cross + _FOOT_ROWS,
+            ("",) * len(_HEAD_ROWS) + ("uses the estimated cross deviation",) * blocks
+            + ("uses the estimated norm deviation", ""))
 
 
 def trace_recovery(instance: SparseInstance, result: SolverResult,
@@ -144,12 +171,29 @@ def trace_recovery(instance: SparseInstance, result: SolverResult,
     h01c = h - h01
     n01 = core.norm_lp(h01, 2)
     n01c = core.norm_lp(h01c, 2)
-    tail_norms = [core.norm_lp(core.restrict(h, blk), 2) for blk in part.tail_blocks()]
-    tail_sum = float(sum(tail_norms))
+    tail = part.tail_blocks()
+    # the tail blocks side by side: h restricted to each block as a row,
+    # and each block's columns and values padded with zeros to k
+    cols = np.zeros((len(tail), k), dtype=np.int64)
+    vals = np.zeros((len(tail), k))
+    restricted = np.zeros((len(tail), h.size))
+    for b, blk in enumerate(tail):
+        cols[b, :blk.size] = blk
+        vals[b, :blk.size] = restricted[b, blk] = h[blk]
+    tail_norms = np.sqrt((restricted * restricted).sum(axis=1))
+    tail_sum = float(sum(tail_norms.tolist()))
     e0 = core.compressibility_error(x, k)
     phi_h = core.mat_vec(phi, h)
     phi_h01 = core.mat_vec(phi, h01)
     signs01 = core.sign_vec(phi_h01)
+    # phi @ (each restricted block), summed left to right over the block's
+    # columns as core.mat_vec sums over all of them: the products it adds
+    # outside the block are zeros, which change no nonzero sum
+    products = phi[:, cols] * vals
+    np.add.accumulate(products, axis=2, out=products)
+    phi_tail = products[:, :, -1].T + 0.0
+    cross = np.abs((signs01 * phi_tail).sum(axis=1))
+    cross_bound = m * estimate.cross_dev_lower * tail_norms
     nu = estimate.calibration
     verdict = condition_verdict(estimate)
     # The compressibility chain is proved from ||x*||_1 <= ||x||_1; a
@@ -162,32 +206,22 @@ def trace_recovery(instance: SparseInstance, result: SolverResult,
     fp_budget = 8.0 * np.finfo(float).eps * x.size * max(1.0, u_mass, x_mass)
     minimality_slack = max(0.0, u_mass - x_mass) + fp_budget
 
-    # (name, lhs, rhs, note); the first five rows are unconditional
-    rows = [
+    # (lhs, rhs) of each row, in the order of _row_layout's names
+    sides = np.empty((len(tail) + len(_HEAD_ROWS) + len(_FOOT_ROWS), 2))
+    sides[:5] = [
         # ||h|| <= ||h_T01|| + ||h_T01c||; the lhs is recombined from the
         # two disjoint pieces (hypot), which equals ||h|| exactly in real
         # arithmetic and keeps the degenerate cases rounding-safe.
-        ("error-triangle", math.hypot(n01, n01c), n01 + n01c, ""),
-        ("tail-vs-block-sum", n01c, tail_sum, ""),
-        ("block-compressibility", tail_sum,
-         n01 + 2.0 * e0 + minimality_slack / math.sqrt(k),
-         f"l1-minimality slack {minimality_slack:.3e}"),
-        ("holder-sign-inner", float(np.sum(signs01 * phi_h)),
-         float(np.sum(np.abs(phi_h))), ""),
-        ("residual-feasibility", float(np.sum(np.abs(phi_h))),
-         2.0 * eps + 2.0 * feasibility_tol, ""),
+        (math.hypot(n01, n01c), n01 + n01c),
+        (n01c, tail_sum),
+        (tail_sum, n01 + 2.0 * e0 + minimality_slack / math.sqrt(k)),
+        (float(np.sum(signs01 * phi_h)), float(np.sum(np.abs(phi_h)))),
+        (float(np.sum(np.abs(phi_h))), 2.0 * eps + 2.0 * feasibility_tol),
     ]
-    for j, blk in enumerate(part.tail_blocks(), start=2):
-        cross = abs(float(np.sum(signs01 * core.mat_vec(phi, core.restrict(h, blk)))))
-        bound = m * estimate.cross_dev_lower * core.norm_lp(core.restrict(h, blk), 2)
-        rows.append((f"cross-term-block-{j:03d}", cross, bound,
-                     "uses the estimated cross deviation"))
-    rows.append(("sketch-lower-bound",
-                 m * (nu - estimate.norm_dev_lower) * n01,
-                 float(np.sum(np.abs(phi_h01))), "uses the estimated norm deviation"))
-    rows.append(("recovery-error-bound", core.norm_lp(h, 2),
-                 recovery_error_bound(eps, m, e0), f"condition {verdict}"))
-    names, lhs, rhs, notes = zip(*rows)
+    sides[5:-2, 0] = cross
+    sides[5:-2, 1] = cross_bound
+    sides[-2] = (m * (nu - estimate.norm_dev_lower) * n01, float(np.sum(np.abs(phi_h01))))
+    sides[-1] = (core.norm_lp(h, 2), recovery_error_bound(eps, m, e0))
 
     inputs = {
         "n": instance.n, "m": m, "k": k, "epsilon": eps, "e0": e0,
@@ -198,8 +232,8 @@ def trace_recovery(instance: SparseInstance, result: SolverResult,
         "residual_l1": residual,
         "solver_status": result.status,
     }
-    return RecoveryTrace(names=names, sides=np.column_stack((lhs, rhs)), notes=notes,
-                         unconditional=5, inputs=inputs, condition=verdict,
+    return RecoveryTrace(sides=sides, minimality_slack=minimality_slack,
+                         unconditional=len(_HEAD_ROWS), inputs=inputs, condition=verdict,
                          deviation_provenance="exhaustive" if estimate.exhaustive else "sampled")
 
 

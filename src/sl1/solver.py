@@ -6,26 +6,26 @@ Two routes share one result contract: an exact reduction to a linear
 program, whose dual the built-in simplex method solves from the origin
 (the reference oracle for small problems), and a restarted primal-dual
 hybrid gradient scheme with a primal weight (the scalable path).  The
-program is a sharp LP, on which restarting PDHG from the better of its
-current and its average iterate converges linearly (Applegate, Hinder,
-Lu, Lubin, Math. Prog. 2023); the primal weight, which balances the
-primal and dual step sizes, follows the restart moves, and the step
-size adapts to a local bound on phi as in PDLP (Applegate et al.,
-NeurIPS 2021), so the route runs on mat-vecs and elementwise work and
-never factorises phi, except for the feasibility polish late in a long
-solve (after m iterations).  Restarted PDHG settles on the optimal
-support long before its gap closes (Lu and Yang, 2023), so a solve that
-has run m iterations finishes on that active set as crossover does
-(Megiddo, 1991): once the sign pattern of u holds between two gap
-checks, the LP restricted to its support is solved exactly, once per
-pattern, and its vertex and its dual bound join the gap test (the
-certificate counts these "restricted_lps").  The primal-dual solver
-certifies optimality through an explicit duality gap: any q with
-||phi.T @ q||_inf <= 1 gives the lower bound q @ y - epsilon * ||q||_inf
-on the optimal value, so a feasible point whose objective meets that
-bound up to a relative tolerance is accepted.  That gap test, checked
-on the whole problem, is its only stop rule besides the iteration cap,
-and the gap it accepted is the one reported in the certificate.
+program is a sharp LP, on which restarting PDHG from its current
+iterate converges linearly (Applegate, Hinder, Lu, Lubin, Math. Prog.
+2023); the primal weight, which balances the primal and dual step
+sizes, follows the restart moves, and the step size adapts to a local
+bound on phi as in PDLP (Applegate et al., NeurIPS 2021), so the route
+runs on mat-vecs and elementwise work and never factorises phi, except
+for the feasibility polish late in a long solve (after m iterations).
+Restarted PDHG settles on the optimal support long before its gap
+closes (Lu and Yang, 2023), so a solve that has run m iterations
+finishes on that active set as crossover does (Megiddo, 1991): once the
+sign pattern of u holds between two gap checks, the LP restricted to
+its support is solved exactly, once per pattern, and its vertex and its
+dual bound join the gap test (the certificate counts these
+"restricted_lps").  The primal-dual solver certifies optimality through
+an explicit duality gap: any q with ||phi.T @ q||_inf <= 1 gives the
+lower bound q @ y - epsilon * ||q||_inf on the optimal value, so a
+feasible point whose objective meets that bound up to a relative
+tolerance is accepted.  That gap test, checked on the whole problem, is
+its only stop rule besides the iteration cap, and the gap it accepted
+is the one reported in the certificate.
 """
 
 import math
@@ -44,12 +44,11 @@ STATUS_INFEASIBLE = "infeasible-detected"
 STATUS_ITER_LIMIT = "iteration-limit"
 
 # First-order schedule: the period of the feasibility/gap check and of
-# the restart check, which reuses a gap check's average (so RESTART_EVERY
-# must stay a multiple of CHECK_EVERY), and the restart thresholds on the
-# weighted fixed-point residual relative to its value at the last restart
-# (sufficient decay; necessary decay once the residual rises between
-# checks), plus the share of all iterations after which a run since the
-# last restart ends regardless.
+# the restart check, and the restart thresholds on the weighted
+# fixed-point residual of the current iterate relative to its value at
+# the last restart (sufficient decay; necessary decay once the residual
+# rises between checks), plus the share of all iterations after which a
+# run since the last restart ends regardless.
 CHECK_EVERY = 10
 RESTART_EVERY = 40
 RESTART_SUFFICIENT = 0.2
@@ -118,9 +117,9 @@ def _threshold_search(dropped, radius):
     magnitudes sorted in decreasing order, and the search's leading
     candidate, which is radius in exact arithmetic; theta is None when
     rounding leaves no candidate positive."""
-    cumulative = np.cumsum(dropped) - radius
+    cumulative = dropped.cumsum() - radius
     candidates = dropped - cumulative / np.arange(1, dropped.size + 1)
-    positive = np.flatnonzero(candidates > 0)
+    positive = (candidates > 0).nonzero()[0]
     if not positive.size:
         return None, candidates[0]
     rho = int(positive[-1])
@@ -209,6 +208,11 @@ def lp_formulate(phi, y, epsilon: float) -> LpProblem:
     return LpProblem(c=c, a_ub=a_ub, b_ub=b_ub, phi=phi, y=y, epsilon=float(epsilon))
 
 
+def _power_of_two_below(value: float) -> float:
+    """The power of two in (value / 2, value], or 1 for value 0."""
+    return math.ldexp(1.0, math.frexp(value)[1] - 1) if value > 0.0 else 1.0
+
+
 def solve_lp_exact(lp: LpProblem, config: SolverConfig = None) -> SolverResult:
     """Exact solve of the LP reduction through its dual
 
@@ -221,28 +225,32 @@ def solve_lp_exact(lp: LpProblem, config: SolverConfig = None) -> SolverResult:
     ("infeasible-detected"); a solve capped at 10 * max_iters pivots
     carries no iterate ("iteration-limit").
 
-    The simplex tolerances are absolute, so data with 0 < ||y||_1 < 1 is
-    solved with b_ub divided by the power of two that puts ||y||_1 in
-    [1, 2), and z and the dual objective are multiplied back; a power of
-    two scales exactly, and the duals do not depend on it.
+    The simplex tolerances are absolute, so the LP is solved with phi
+    divided by the power of two s_phi that puts max|phi_ij| in [1, 2) and
+    b_ub by the power of two s_y that puts ||y||_1 in [1, 2); u and the
+    objectives are multiplied back by s_y / s_phi and the duals by
+    1 / s_phi.  A power of two scales exactly.
     """
     cfg = config if config is not None else SolverConfig(method=METHOD_LP)
-    y_l1 = core.norm_lp(lp.y, 1)
-    scale = math.ldexp(1.0, math.frexp(y_l1)[1] - 1) if 0.0 < y_l1 < 1.0 else 1.0
-    res = simplex.solve_canonical(lp.b_ub / scale, -lp.a_ub.T, lp.c,
-                                  max_pivots=cfg.max_iters * 10)
+    n = lp.phi.shape[1]
+    s_phi = _power_of_two_below(float(abs(lp.phi).max()))
+    s_y = _power_of_two_below(core.norm_lp(lp.y, 1))
+    dual_a = -lp.a_ub.T
+    dual_a[:2 * n] /= s_phi
+    res = simplex.solve_canonical(lp.b_ub / s_y, dual_a, lp.c, max_pivots=cfg.max_iters * 10)
     if res.status != simplex.OPTIMAL:
         status = STATUS_INFEASIBLE if res.status == simplex.UNBOUNDED else STATUS_ITER_LIMIT
         return SolverResult(
-            u_star=np.zeros(lp.phi.shape[1]), objective=math.inf, residual_l1=math.inf,
+            u_star=np.zeros(n), objective=math.inf, residual_l1=math.inf,
             status=status, iters=res.pivots, certificate=None)
-    z = -res.duals * scale
-    u = lp.signal_from(z)
-    dual_obj = -res.objective * scale
+    ratio = s_y / s_phi
+    z = -res.duals
+    u = lp.signal_from(z) * ratio
+    dual_obj = -res.objective * ratio
     certificate = {
-        "duals": -res.x,
+        "duals": -res.x / s_phi,
         "dual_objective": dual_obj,
-        "strong_duality_gap": float(lp.c @ z - dual_obj),
+        "strong_duality_gap": float(lp.c @ z) * ratio - dual_obj,
     }
     return SolverResult(
         u_star=u,
@@ -256,9 +264,9 @@ def solve_lp_exact(lp: LpProblem, config: SolverConfig = None) -> SolverResult:
 
 def _dual_lower_bound(q, phit_q, y, epsilon) -> float:
     """Lower bound on the optimum from an arbitrary dual vector q."""
-    scale = float(np.max(np.abs(phit_q))) * (1.0 + 1e-12)
+    scale = float(abs(phit_q).max()) * (1.0 + 1e-12)
     scale = max(1.0, scale)
-    return (abs(float(q @ y)) - epsilon * float(np.max(np.abs(q)))) / scale
+    return (abs(float(q @ y)) - epsilon * float(abs(q).max())) / scale
 
 
 class _FeasibilityPolish:
@@ -302,7 +310,7 @@ class _AdaptiveStep:
 
     def take(self, u, q, phi_u, phit_q, weight):
         """Step from (u, q) until a size is accepted; returns the new
-        pair, its products phi @ u and phi.T @ q, and the size used."""
+        pair and its products phi @ u and phi.T @ q."""
         while True:
             self.attempts += 1
             eta = self.eta
@@ -315,7 +323,7 @@ class _AdaptiveStep:
             k = self.attempts
             self.eta = min((1.0 - (k + 1) ** -0.3) * limit, (1.0 + (k + 1) ** -0.6) * eta)
             if eta <= limit:
-                return u_new, q_new, phi_u_new, self.phi.T @ q_new, eta
+                return u_new, q_new, phi_u_new, self.phi.T @ q_new
             self.rejections += 1
 
 
@@ -333,7 +341,7 @@ class _Incumbent:
 
     def offer(self, u, phi_u, polish):
         r = self.y - phi_u
-        res = float(np.sum(np.abs(r)))
+        res = float(abs(r).sum())
         obj = core.norm_lp(u, 1)
         eps = self.epsilon
         if res <= eps + self.ftol and obj < self.obj:
@@ -364,24 +372,21 @@ def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> So
     phi.T @ q are carried from step to step, so an accepted step costs
     two mat-vecs, and no factorisation of phi is needed to choose eta.
 
-    Every RESTART_EVERY iterations, right after the gap check, the weighted
-    fixed-point residual sqrt(w ||du||^2 + ||dq||^2 / w) of the step from
-    the current iterate is compared with that of a step of the same size
-    from the check's average of the iterates since the last restart
-    (weighted by their accepted step sizes); the better point becomes the
-    new start when its residual has fallen to RESTART_SUFFICIENT of the
-    value at the last restart, or to RESTART_NECESSARY of it and risen
-    since the previous check, or when the run since the last restart
-    reaches RESTART_ARTIFICIAL of all iterations.  At a restart the weight
-    moves to the geometric mean of itself and the ratio of the dual to the
+    Every RESTART_EVERY iterations the weighted fixed-point residual
+    sqrt(w ||du||^2 + ||dq||^2 / w) of the step just taken from the
+    current iterate is checked: that iterate becomes the new start when
+    the residual has fallen to RESTART_SUFFICIENT of its value at the last
+    restart, or to RESTART_NECESSARY of it and risen since the previous
+    check, or when the run since the last restart reaches
+    RESTART_ARTIFICIAL of all iterations.  At a restart the weight moves
+    to the geometric mean of itself and the ratio of the dual to the
     primal move since the last restart.
 
-    Every CHECK_EVERY iterations the best point, among the current and
-    the average iterate, that is feasible up to feasibility_tol *
-    min(1, ||y||_1) is compared with the better dual lower bound of the
-    current and the average dual; the solve stops "optimal" only when
-    that duality gap is within objective_tol * obj of zero (the optimum
-    is positive once ||y||_1 > epsilon), and reports the gap it accepted.
+    Every CHECK_EVERY iterations the best point seen that is feasible up
+    to feasibility_tol * min(1, ||y||_1) is compared with the dual lower
+    bound of the current dual; the solve stops "optimal" only when that
+    duality gap is within objective_tol * obj of zero (the optimum is
+    positive once ||y||_1 > epsilon), and reports the gap it accepted.
     A nearly feasible point is polished (_FeasibilityPolish) only once
     the solve has run m iterations: the polish needs pinv(phi), which
     costs about as much as m iterations' mat-vecs, so a solve that ends
@@ -390,11 +395,11 @@ def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> So
     The finish on the active set takes the same m-iteration gate: at a
     check whose gap test fails, where the sign pattern of u equals the
     one at the previous check and has not been tried, the LP restricted
-    to the support S of u is solved exactly (solve_lp_exact).  Its vertex, padded with zeros,
-    is offered as a candidate, and its duals d give q = d[m:2m] - d[:m],
-    whose bound covers every column of phi; the gap test then decides on
-    the whole problem as before, so a wrong support costs one LP and
-    stops nothing.  Hitting the iteration cap returns status
+    to the support S of u is solved exactly (solve_lp_exact).  Its vertex,
+    padded with zeros, is offered as a candidate, and its duals d give
+    q = d[m:2m] - d[:m], whose bound covers every column of phi; the gap
+    test then decides on the whole problem as before, so a wrong support
+    costs one LP and stops nothing.  Hitting the iteration cap returns status
     "iteration-limit" carrying the best feasible point seen, if any.
     The certificate counts the restarts, the rejected steps and the
     restricted LPs run ("restricted_lps").
@@ -432,14 +437,11 @@ def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> So
     phi_u = np.zeros(m)
     phit_q = np.zeros(n)
     # each iteration ends with the step to the next iterate
-    u_new, q_new, phi_u_new, phit_q_new, eta = stepper.take(u, q, phi_u, phit_q, weight)
+    u_new, q_new, phi_u_new, phit_q_new = stepper.take(u, q, phi_u, phit_q, weight)
     start_u, start_q = u, q        # the point of the last restart
     start_residual = fixed_point_residual(u_new - u, q_new - q)
-    checked_residual = math.inf    # the best candidate's at the previous restart check
-    u_sum = np.zeros(n)
-    q_sum = np.zeros(m)
-    eta_sum = 0.0                  # accepted step sizes summed since the last restart
-    run = 0                        # iterates summed since the last restart
+    checked_residual = math.inf    # the step's residual at the previous restart check
+    run = 0                        # iterations since the last restart
     restarts = 0
     incumbent = _Incumbent(phi, y, epsilon, cfg.feasibility_tol * min(1.0, y_l1))
 
@@ -453,9 +455,6 @@ def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> So
 
     for it in range(1, cfg.max_iters + 1):
         u, q, phi_u, phit_q = u_new, q_new, phi_u_new, phit_q_new
-        u_sum += eta * u
-        q_sum += eta * q
-        eta_sum += eta
         run += 1
 
         last = it == cfg.max_iters
@@ -463,11 +462,6 @@ def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> So
             polish = it >= m
             lower = _dual_lower_bound(q, phit_q, y, epsilon)
             incumbent.offer(u, phi_u, polish)
-            if run > 1:
-                u_avg, q_avg = u_sum / eta_sum, q_sum / eta_sum
-                phi_u_avg, phit_q_avg = phi @ u_avg, phi.T @ q_avg
-                incumbent.offer(u_avg, phi_u_avg, polish)
-                lower = max(lower, _dual_lower_bound(q_avg, phit_q_avg, y, epsilon))
             gap = incumbent.obj - lower
             settled, pattern = pattern, np.sign(u).astype(np.int8).tobytes()
             if (not closes(gap) and polish and settled == pattern
@@ -490,33 +484,23 @@ def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> So
                 break
         if last:
             break
-        u_new, q_new, phi_u_new, phit_q_new, eta = stepper.take(u, q, phi_u, phit_q, weight)
+        u_new, q_new, phi_u_new, phit_q_new = stepper.take(u, q, phi_u, phit_q, weight)
         if it % RESTART_EVERY:
             continue
-        # the restart check: the step just taken against one from the check's average
+        # the restart check, on the step just taken
         residual = fixed_point_residual(u_new - u, q_new - q)
-        avg_u_new, avg_q_new, _ = _pdhg_step(phi, y, epsilon, u_avg, q_avg, phi_u_avg,
-                                             phit_q_avg, eta / weight, eta * weight)
-        avg_residual = fixed_point_residual(avg_u_new - u_avg, avg_q_new - q_avg)
-        from_avg = avg_residual < residual
-        residual = min(residual, avg_residual)
         if (residual <= RESTART_SUFFICIENT * start_residual
                 or checked_residual < residual <= RESTART_NECESSARY * start_residual
                 or run >= RESTART_ARTIFICIAL * it):
-            if from_avg:
-                u, q, phi_u, phit_q = u_avg, q_avg, phi_u_avg, phit_q_avg
             du = core.norm_lp(u - start_u, 2)
             dq = core.norm_lp(q - start_q, 2)
             if du > 1e-10 and dq > 1e-10:
                 weight = math.sqrt(weight * dq / du)
             start_u, start_q, start_residual = u, q, residual
-            u_sum = np.zeros(n)
-            q_sum = np.zeros(m)
-            eta_sum = 0.0
             run = 0
             restarts += 1
             # the first step from the new start takes the new weight
-            u_new, q_new, phi_u_new, phit_q_new, eta = stepper.take(u, q, phi_u, phit_q, weight)
+            u_new, q_new, phi_u_new, phit_q_new = stepper.take(u, q, phi_u, phit_q, weight)
         checked_residual = residual
 
     if incumbent.u is not None:

@@ -3,13 +3,17 @@
 Everything here is deliberately written from first principles (plain
 numpy, exhaustive enumeration, bisection) or handed to an outside solver
 (HiGHS), and never calls back into the package's own implementations of
-the operations it checks.
+the operations it checks.  The one exception, trace_tail_rows, keeps the
+tracer's former per-block arithmetic on the package's primitives, so
+that the batched tracer can be held to its bytes.
 """
 
 import math
 from itertools import combinations
 
 import numpy as np
+
+from sl1 import core
 
 
 def mat_vec_column_loop(a, v):
@@ -22,6 +26,18 @@ def mat_vec_column_loop(a, v):
     for j in range(a.shape[1]):
         out += a[:, j] * v[j]
     return out
+
+
+def trace_tail_rows(phi, h, blocks, signs, cross_dev_lower):
+    """The tracer's tail-block figures computed one block at a time, by
+    core.restrict and core.mat_vec: the sum of the blocks' l2 norms, and
+    each block's cross-term row (|signs . phi h_B|, M * cross_dev_lower *
+    ||h_B||_2) as a (blocks, 2) array."""
+    m = phi.shape[0]
+    norms = [core.norm_lp(core.restrict(h, blk), 2) for blk in blocks]
+    rows = [(abs(float(np.sum(signs * core.mat_vec(phi, core.restrict(h, blk))))),
+             m * cross_dev_lower * norm) for blk, norm in zip(blocks, norms)]
+    return float(sum(norms)), np.array(rows, dtype=float).reshape(-1, 2)
 
 
 def highs_objective(phi, y, epsilon):

@@ -7,7 +7,11 @@ from sl1 import analysis, core
 from sl1.conditions import ConditionEstimate
 from sl1.generators import make_instance
 from sl1.rng import RngSpec
-from sl1.solver import SolverConfig, SolverResult, lp_formulate, solve, solve_lp_exact
+from sl1.solver import (SolverConfig, SolverResult, lp_formulate, solve, solve_first_order,
+                        solve_lp_exact)
+
+from oracles import trace_tail_rows
+from test_solver import _criterion_1_instance
 
 NU = math.sqrt(2.0 / math.pi)
 
@@ -146,6 +150,25 @@ class TestTrace:
         assert "error-triangle" in names and "recovery-error-bound" in names
         for row in doc["rows"]:
             assert row["holds"] == (row["slack"] >= 0.0)
+
+    def test_tail_blocks_match_the_block_loop(self):
+        # The tail blocks are traced in one batched pass; its rows must hold
+        # the bytes of the per-block restrict and mat_vec loop.
+        blocks_seen = 0
+        for index in range(40):
+            inst = _criterion_1_instance(index)
+            for result in (solve_lp_exact(lp_formulate(inst.phi, inst.y, inst.epsilon)),
+                           solve_first_order(inst.phi, inst.y, inst.epsilon)):
+                trace = analysis.trace_recovery(inst, result, _estimate(k=inst.k))
+                h = result.u_star - inst.x
+                part = core.partition_support(h, core.hard_support(inst.x, inst.k), inst.k)
+                signs = core.sign_vec(core.mat_vec(inst.phi, core.restrict(h, part.t01)))
+                tail_sum, cross = trace_tail_rows(inst.phi, h, part.tail_blocks(), signs, 0.05)
+                assert trace.sides[5:-2].tobytes() == cross.tobytes(), index
+                assert trace.sides[[1, 2], [1, 0]].tobytes() \
+                    == np.array([tail_sum, tail_sum]).tobytes(), index
+                blocks_seen += len(part.tail_blocks())
+        assert blocks_seen > 400
 
 
 class TestTrials:
