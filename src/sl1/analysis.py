@@ -85,14 +85,19 @@ class RecoveryTrace:
     kept in one (rows, 2) array, and `rows` builds the TraceRow objects on
     each access, so a kept trace holds one array instead of an object and
     two floats per row; the row names and notes follow from the row count
-    and are built on access too."""
+    and are built on access too, as is the `inputs` dict from its values
+    in the order of _INPUT_KEYS."""
 
     sides: np.ndarray
     minimality_slack: float  # the block-compressibility row's allowance
     unconditional: int  # the leading rows, which hold for any feasible minimiser
-    inputs: dict
+    input_values: tuple
     condition: str
     deviation_provenance: str
+
+    @property
+    def inputs(self) -> dict:
+        return dict(zip(_INPUT_KEYS, self.input_values))
 
     @property
     def names(self) -> tuple:
@@ -125,6 +130,9 @@ class RecoveryTrace:
                 "deviation_provenance": self.deviation_provenance,
                 "rows": [r.as_dict() for r in self.rows]}
 
+
+_INPUT_KEYS = ("n", "m", "k", "epsilon", "e0", "calibration", "norm_dev_lower",
+               "cross_dev_lower", "feasibility_tol", "residual_l1", "solver_status")
 
 # the rows before and after the cross terms (one per tail block); the
 # five before them are the unconditional ones
@@ -223,17 +231,10 @@ def trace_recovery(instance: SparseInstance, result: SolverResult,
     sides[-2] = (m * (nu - estimate.norm_dev_lower) * n01, float(np.sum(np.abs(phi_h01))))
     sides[-1] = (core.norm_lp(h, 2), recovery_error_bound(eps, m, e0))
 
-    inputs = {
-        "n": instance.n, "m": m, "k": k, "epsilon": eps, "e0": e0,
-        "calibration": nu,
-        "norm_dev_lower": estimate.norm_dev_lower,
-        "cross_dev_lower": estimate.cross_dev_lower,
-        "feasibility_tol": feasibility_tol,
-        "residual_l1": residual,
-        "solver_status": result.status,
-    }
+    inputs = (instance.n, m, k, eps, e0, nu, estimate.norm_dev_lower,
+              estimate.cross_dev_lower, feasibility_tol, residual, result.status)
     return RecoveryTrace(sides=sides, minimality_slack=minimality_slack,
-                         unconditional=len(_HEAD_ROWS), inputs=inputs, condition=verdict,
+                         unconditional=len(_HEAD_ROWS), input_values=inputs, condition=verdict,
                          deviation_provenance="exhaustive" if estimate.exhaustive else "sampled")
 
 

@@ -413,8 +413,7 @@ def estimate_norm_deviation(phi, k: int, budget: SearchBudget, rng: RngSpec) -> 
         val, z, arcs = _norm_on_arcs(phi[:, sup], nu)
         return val, (sup, z), arcs
 
-    draws = ((sup, np.stack([stream.normal(width) for _ in range(budget.starts)], axis=1))
-             for sup in supports)
+    draws = ((sup, stream.normal_rows(budget.starts, width).T) for sup in supports)
     # lane 2j climbs up from start j, lane 2j + 1 down from it
     directions = np.tile([1.0, -1.0], budget.starts)
 

@@ -100,6 +100,21 @@ class Stream:
         out[1::2] = radius * np.sin(angle)
         return out[:n]
 
+    def normal_rows(self, rows: int, n: int) -> np.ndarray:
+        """`rows` successive normal(n) draws as the rows of one (rows, n)
+        array, from one uniform call: each row's first half of uniforms
+        gives its radii and the next half its angles, so every value is
+        the one the separate calls give."""
+        rows, n = int(rows), int(n)
+        half = (n + 1) // 2
+        u = self.uniform(rows * 2 * half).reshape(rows, 2, half)
+        radius = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
+        angle = (2.0 * math.pi) * u[:, 1]
+        out = np.empty((rows, 2 * half))
+        out[:, 0::2] = radius * np.cos(angle)
+        out[:, 1::2] = radius * np.sin(angle)
+        return out[:, :n]
+
     def laplace(self, n: int) -> np.ndarray:
         """Unit-scale Laplace draws (density exp(-|x|)/2) via inverse CDF."""
         u = self.open_uniform(n)

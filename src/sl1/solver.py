@@ -11,17 +11,21 @@ iterate converges linearly (Applegate, Hinder, Lu, Lubin, Math. Prog.
 2023); the primal weight, which balances the primal and dual step
 sizes, follows the restart moves, and the step size adapts to a local
 bound on phi as in PDLP (Applegate et al., NeurIPS 2021), so the route
-runs on mat-vecs and elementwise work and never factorises phi, except
-for the feasibility polish late in a long solve (after m iterations).
-Restarted PDHG settles on the optimal support long before its gap
-closes (Lu and Yang, 2023), so a solve that has run m iterations
-finishes on that active set as crossover does (Megiddo, 1991): once the
-sign pattern of u holds between two gap checks, the LP restricted to
-its support is solved exactly, once per pattern, and its vertex and its
-dual bound join the gap test (the certificate counts these
-"restricted_lps").  The primal-dual solver certifies optimality through
-an explicit duality gap: any q with ||phi.T @ q||_inf <= 1 gives the
-lower bound q @ y - epsilon * ||q||_inf on the optimal value, so a
+runs on mat-vecs and elementwise work and factorises only small blocks
+of phi, except for the feasibility polish late in a long solve (after m
+iterations).  Restarted PDHG settles on the optimal active set long
+before its gap closes (Lu and Yang, 2023), so the solve finishes on that
+set as the solution polishing of OSQP does (Stellato et al., Math. Prog.
+Comp. 2020): once the sign pattern of u holds between two gap checks,
+the support of u and the rows that the dual step's l1-ball projection
+clips give one least-squares system on the active block of phi, once per
+pattern, whose point and dual bound join the gap test (the certificate
+counts these "active_set_solves").  After m iterations the LP
+restricted to the support is also solved exactly, once per sign pattern
+of u, as crossover does (Megiddo, 1991; "restricted_lps").  The
+primal-dual solver certifies optimality through an explicit duality
+gap: any q with ||phi.T @ q||_inf <= 1 gives the lower bound
+q @ y - epsilon * ||q||_inf on the optimal value, so a
 feasible point whose objective meets that bound up to a relative
 tolerance is accepted.  That gap test, checked on the whole problem, is
 its only stop rule besides the iteration cap, and the gap it accepted
@@ -59,7 +63,7 @@ RESTART_ARTIFICIAL = 0.36
 @dataclass
 class SolverConfig:
     method: str = METHOD_FIRST_ORDER
-    feasibility_tol: float = 1e-8   # slack on ||y - phi u||_1 - epsilon, times min(1, ||y||_1)
+    feasibility_tol: float = 1e-8   # slack on ||y - phi u||_1 - epsilon (see solve_first_order)
     objective_tol: float = 1e-7    # relative: duality gap
     max_iters: int = 50_000
 
@@ -289,13 +293,49 @@ class _FeasibilityPolish:
 
 def _pdhg_step(phi, y, epsilon, u, q, phi_u, phit_q, tau, sigma):
     """One primal-dual step from (u, q), given phi @ u and phi.T @ q,
-    with primal step tau and dual step sigma; returns the new pair and
-    phi @ u of the new primal, the step's one mat-vec."""
+    with primal step tau and dual step sigma; returns the new pair,
+    phi @ u of the new primal (the step's one mat-vec) and the l1-ball
+    projection p of the dual step, whose negative estimates the residual
+    y - phi u and is exactly zero on the rows the projection clips."""
     u_new = soft_threshold(u - tau * phit_q, tau)
     phi_u_new = phi @ u_new
     v = q + sigma * (2.0 * phi_u_new - phi_u)
-    q_new = v - sigma * (y + project_l1_ball(v / sigma - y, epsilon))
-    return u_new, q_new, phi_u_new
+    p = project_l1_ball(v / sigma - y, epsilon)
+    q_new = v - sigma * (y + p)
+    return u_new, q_new, phi_u_new, p
+
+
+def _active_set_solve(phi, y, epsilon, u, q, p):
+    """The primal point and the dual vector that the active set of a
+    PDHG iterate (u, q) and its projection p determine, by two
+    least-squares solves on the support S of u (see solve_first_order).
+
+    With Z the rows where p is zero, on which the residual y - phi u is
+    guessed to vanish, and rho the signs of -p on the other rows Zc,
+    M = [phi[Z, S]; rho^T phi[Zc, S]] holds those zeros and the
+    residual's l1 norm at epsilon: u_S solves M u_S = [y_Z; rho^T y_Zc -
+    epsilon] by least squares.  The dual unknowns x = (q'_Z, lambda) are
+    the least change to (-q_Z, max|q_Zc|) that meets M^T x = sign(u_S),
+    and q' is lambda * rho on Zc, so phi^T q' equals sign(u_S) on S (the
+    LP's dual has the sign of -q).  The ball row and lambda are left out
+    when no row is free, as at epsilon 0."""
+    support = np.flatnonzero(u)
+    clipped = p == 0.0
+    block = phi[:, support]
+    rows, rhs, start = block[clipped], y[clipped], -q[clipped]
+    free = ~clipped
+    rho = np.sign(-p[free])
+    if rho.size:
+        rows = np.vstack([rows, rho @ block[free]])
+        rhs = np.append(rhs, rho @ y[free] - epsilon)
+        start = np.append(start, abs(q[free]).max())
+    u_new = core.embed(np.linalg.lstsq(rows, rhs, rcond=None)[0], support, u.size)
+    x = start + np.linalg.lstsq(rows.T, np.sign(u[support]) - rows.T @ start, rcond=None)[0]
+    q_new = np.empty(q.size)
+    q_new[clipped] = x[:clipped.sum()]
+    if rho.size:
+        q_new[free] = x[-1] * rho
+    return u_new, q_new
 
 
 class _AdaptiveStep:
@@ -310,12 +350,13 @@ class _AdaptiveStep:
 
     def take(self, u, q, phi_u, phit_q, weight):
         """Step from (u, q) until a size is accepted; returns the new
-        pair and its products phi @ u and phi.T @ q."""
+        pair, its products phi @ u and phi.T @ q and the step's
+        projection p (see _pdhg_step)."""
         while True:
             self.attempts += 1
             eta = self.eta
-            u_new, q_new, phi_u_new = _pdhg_step(self.phi, self.y, self.epsilon, u, q,
-                                                 phi_u, phit_q, eta / weight, eta * weight)
+            u_new, q_new, phi_u_new, p = _pdhg_step(self.phi, self.y, self.epsilon, u, q,
+                                                    phi_u, phit_q, eta / weight, eta * weight)
             du, dq = u_new - u, q_new - q
             movement = 0.5 * (weight * float(du @ du) + float(dq @ dq) / weight)
             interaction = abs(float(dq @ (phi_u_new - phi_u)))
@@ -323,7 +364,7 @@ class _AdaptiveStep:
             k = self.attempts
             self.eta = min((1.0 - (k + 1) ** -0.3) * limit, (1.0 + (k + 1) ** -0.6) * eta)
             if eta <= limit:
-                return u_new, q_new, phi_u_new, self.phi.T @ q_new
+                return u_new, q_new, phi_u_new, self.phi.T @ q_new, p
             self.rejections += 1
 
 
@@ -383,26 +424,35 @@ def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> So
     primal move since the last restart.
 
     Every CHECK_EVERY iterations the best point seen that is feasible up
-    to feasibility_tol * min(1, ||y||_1) is compared with the dual lower
-    bound of the current dual; the solve stops "optimal" only when that
-    duality gap is within objective_tol * obj of zero (the optimum is
-    positive once ||y||_1 > epsilon), and reports the gap it accepted.
+    to feasibility_tol * min(1, ||y||_1) + m * 2^-52 * (||y||_1 + epsilon)
+    (the second term covers the rounding of the m residual terms, which
+    alone pushes points on the boundary of a large ball past an absolute
+    slack) is compared with the dual lower bound of the current dual;
+    the solve stops "optimal" only when that duality gap is within
+    objective_tol * obj of zero (the optimum is positive once
+    ||y||_1 > epsilon), and reports the gap it accepted.
     A nearly feasible point is polished (_FeasibilityPolish) only once
     the solve has run m iterations: the polish needs pinv(phi), which
     costs about as much as m iterations' mat-vecs, so a solve that ends
     sooner never pays for it.
 
-    The finish on the active set takes the same m-iteration gate: at a
-    check whose gap test fails, where the sign pattern of u equals the
-    one at the previous check and has not been tried, the LP restricted
-    to the support S of u is solved exactly (solve_lp_exact).  Its vertex,
-    padded with zeros, is offered as a candidate, and its duals d give
-    q = d[m:2m] - d[:m], whose bound covers every column of phi; the gap
-    test then decides on the whole problem as before, so a wrong support
-    costs one LP and stops nothing.  Hitting the iteration cap returns status
-    "iteration-limit" carrying the best feasible point seen, if any.
-    The certificate counts the restarts, the rejected steps and the
-    restricted LPs run ("restricted_lps").
+    The finish on the active set runs at a check whose gap test fails,
+    where the sign pattern of u equals the one at the previous check.
+    When the pair of sign patterns of u and of the dual step's projection
+    p has not been tried, _active_set_solve guesses the active set from
+    them: the support S of u and the rows where p is zero, on which the
+    residual vanishes.  One least-squares solve on that block of phi gives
+    a primal point, offered as a candidate, and one gives a dual q whose
+    bound covers every column of phi.  A solve that has run m iterations
+    also solves the LP restricted to S exactly (solve_lp_exact), once per
+    sign pattern of u: its vertex, padded with zeros, is offered, and its
+    duals d give q = d[m:2m] - d[:m].  Either way the gap test decides on
+    the whole problem as before, so a wrong guess costs two least-squares
+    solves (or one LP) and stops nothing.  Hitting the iteration cap
+    returns status "iteration-limit" carrying the best feasible point
+    seen, if any.  The certificate counts the restarts, the rejected
+    steps, the restricted LPs ("restricted_lps") and the least-squares
+    finishes ("active_set_solves") run.
     """
     phi = core.as_matrix(phi, "phi")
     y = core.as_vector(y, "y")
@@ -420,7 +470,7 @@ def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> So
         # zero is feasible and l1-minimal
         return SolverResult(np.zeros(n), 0.0, y_l1, STATUS_OPTIMAL, 0,
                             {"stop": "zero-feasible", "restarts": 0, "step_rejections": 0,
-                             "restricted_lps": 0})
+                             "restricted_lps": 0, "active_set_solves": 0})
 
     largest = float(np.max(np.abs(phi)))
     if largest <= 0.0:
@@ -437,24 +487,27 @@ def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> So
     phi_u = np.zeros(m)
     phit_q = np.zeros(n)
     # each iteration ends with the step to the next iterate
-    u_new, q_new, phi_u_new, phit_q_new = stepper.take(u, q, phi_u, phit_q, weight)
+    u_new, q_new, phi_u_new, phit_q_new, p_new = stepper.take(u, q, phi_u, phit_q, weight)
     start_u, start_q = u, q        # the point of the last restart
     start_residual = fixed_point_residual(u_new - u, q_new - q)
     checked_residual = math.inf    # the step's residual at the previous restart check
     run = 0                        # iterations since the last restart
     restarts = 0
-    incumbent = _Incumbent(phi, y, epsilon, cfg.feasibility_tol * min(1.0, y_l1))
+    # the slack follows ||y||_1 below 1, plus the rounding of m residual terms
+    slack = cfg.feasibility_tol * min(1.0, y_l1) + m * 2.0 ** -52 * (y_l1 + epsilon)
+    incumbent = _Incumbent(phi, y, epsilon, slack)
 
     def closes(gap):
         # a gap below -tolerance shows an incumbent outside the ball
         return incumbent.u is not None and abs(gap) <= otol * abs(incumbent.obj)
 
     pattern = None                 # the sign pattern of u at the previous check
+    solved = set()                 # the (u, p) sign patterns solved on their active set
     tried = set()                  # the patterns whose restricted LP has run
     stop = "cap"
 
     for it in range(1, cfg.max_iters + 1):
-        u, q, phi_u, phit_q = u_new, q_new, phi_u_new, phit_q_new
+        u, q, phi_u, phit_q, p = u_new, q_new, phi_u_new, phit_q_new, p_new
         run += 1
 
         last = it == cfg.max_iters
@@ -464,27 +517,36 @@ def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> So
             incumbent.offer(u, phi_u, polish)
             gap = incumbent.obj - lower
             settled, pattern = pattern, np.sign(u).astype(np.int8).tobytes()
-            if (not closes(gap) and polish and settled == pattern
-                    and pattern not in tried and u.any()):
-                # the finish: the exact vertex and dual of the LP on the
-                # support (an empty one holds no feasible point here)
-                tried.add(pattern)
-                support = np.flatnonzero(u)
-                exact = solve_lp_exact(lp_formulate(phi[:, support], y, epsilon))
-                if exact.is_usable():
-                    u_exact = np.zeros(n)
-                    u_exact[support] = exact.u_star
-                    incumbent.offer(u_exact, phi @ u_exact, polish)
-                    duals = exact.certificate["duals"]
-                    q_exact = duals[m:2 * m] - duals[:m]
-                    lower = max(lower, _dual_lower_bound(q_exact, phi.T @ q_exact, y, epsilon))
+            # the finish, once the sign pattern of u holds (an empty support
+            # holds no feasible point here): the active set's own point and
+            # dual, then, after m iterations, the exact LP on the support
+            if not closes(gap) and settled == pattern and u.any():
+                active = pattern + np.sign(p).astype(np.int8).tobytes()
+                if active not in solved:
+                    solved.add(active)
+                    u_active, q_active = _active_set_solve(phi, y, epsilon, u, q, p)
+                    incumbent.offer(u_active, phi @ u_active, polish)
+                    lower = max(lower, _dual_lower_bound(q_active, phi.T @ q_active,
+                                                         y, epsilon))
                     gap = incumbent.obj - lower
+                if not closes(gap) and polish and pattern not in tried:
+                    tried.add(pattern)
+                    support = np.flatnonzero(u)
+                    exact = solve_lp_exact(lp_formulate(phi[:, support], y, epsilon))
+                    if exact.is_usable():
+                        u_exact = core.embed(exact.u_star, support, n)
+                        incumbent.offer(u_exact, phi @ u_exact, polish)
+                        duals = exact.certificate["duals"]
+                        q_exact = duals[m:2 * m] - duals[:m]
+                        lower = max(lower, _dual_lower_bound(q_exact, phi.T @ q_exact,
+                                                             y, epsilon))
+                        gap = incumbent.obj - lower
             if closes(gap):
                 stop = "gap"
                 break
         if last:
             break
-        u_new, q_new, phi_u_new, phit_q_new = stepper.take(u, q, phi_u, phit_q, weight)
+        u_new, q_new, phi_u_new, phit_q_new, p_new = stepper.take(u, q, phi_u, phit_q, weight)
         if it % RESTART_EVERY:
             continue
         # the restart check, on the step just taken
@@ -500,7 +562,8 @@ def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> So
             run = 0
             restarts += 1
             # the first step from the new start takes the new weight
-            u_new, q_new, phi_u_new, phit_q_new = stepper.take(u, q, phi_u, phit_q, weight)
+            u_new, q_new, phi_u_new, phit_q_new, p_new = stepper.take(u, q, phi_u, phit_q,
+                                                                      weight)
         checked_residual = residual
 
     if incumbent.u is not None:
@@ -512,7 +575,7 @@ def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> So
     status = STATUS_OPTIMAL if stop == "gap" else STATUS_ITER_LIMIT
 
     certificate = {"stop": stop, "restarts": restarts, "step_rejections": stepper.rejections,
-                   "restricted_lps": len(tried)}
+                   "restricted_lps": len(tried), "active_set_solves": len(solved)}
     if incumbent.u is not None:
         certificate["duality_gap"] = float(gap)
     return SolverResult(u_out, float(obj_out), float(res_out), status, it, certificate)

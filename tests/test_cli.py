@@ -522,8 +522,9 @@ class TestGrid:
 
     # the same for the first-order grid at 256 x {96, 128}, k = 5,
     # s in {0, 5}, 30 trials per cell, seed 14142, recorded since the
-    # restarts start from the current iterate alone (numpy 2.4)
-    FIRST_ORDER_TRIALS = "40595991edb21d48c567c412bced852a6070086a76d2d1191ff0c441b434a824"
+    # finish on the active set solves its least-squares system without
+    # waiting m iterations (numpy 2.4)
+    FIRST_ORDER_TRIALS = "80195a4acd857553df9b3d8b0acfd8d7718d06f5619ee82e6a8ae58c4fc47d1e"
 
     def test_first_order_grid_bytes_pinned(self, tmp_path):
         out = tmp_path / "grid"
@@ -533,7 +534,8 @@ class TestGrid:
         lines = (out / "trials.csv").read_text().splitlines()
         cut = "".join(",".join(line.split(",")[:12]) + "\n" for line in lines)
         assert hashlib.sha256(cut.encode()).hexdigest() == self.FIRST_ORDER_TRIALS
-        assert sum(int(line.split(",")[11]) for line in lines[1:]) == 8_160
+        # 8,160 before the least-squares finish
+        assert sum(int(line.split(",")[11]) for line in lines[1:]) == 4_930
 
     def test_uniform_amplitude_flag_runs_and_replays(self, tmp_path):
         out = tmp_path / "grid"

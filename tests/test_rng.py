@@ -26,6 +26,17 @@ def test_normal_matches_two_call_box_muller_bit_for_bit(n):
         assert stream.normal(n).tobytes() == box_muller_normals(bitgen, n).tobytes()
 
 
+@pytest.mark.parametrize("rows, n", [(5, 7), (4, 6), (3, 1), (0, 6)])
+def test_normal_rows_match_successive_normal_calls(rows, n):
+    batched, single = Stream(RngSpec(2024, 4)), Stream(RngSpec(2024, 4))
+    out = batched.normal_rows(rows, n)
+    assert out.shape == (rows, n)
+    expected = [single.normal(n) for _ in range(rows)]
+    assert out.tobytes() == np.array(expected).reshape(rows, n).tobytes()
+    # both streams go on from the same word
+    assert batched.raw(1)[0] == single.raw(1)[0]
+
+
 def test_streams_differ():
     a = Stream(RngSpec(123, 0)).normal(64)
     b = Stream(RngSpec(123, 1)).normal(64)

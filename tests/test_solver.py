@@ -355,8 +355,9 @@ class TestFirstOrder:
 
     def test_no_svd_and_no_pinv_before_m_iterations(self, tmp_path, monkeypatch):
         # The step size needs no spectral norm, and the polish (the one
-        # factorisation left) and the finish's exact LP wait for m
-        # iterations: this 256x128 bundle (phi is 128 x 256) stops before that.
+        # factorisation of the whole phi) and the finish's exact LP wait for
+        # m iterations: this 256x128 bundle (phi is 128 x 256) stops before
+        # that, through the least-squares finish on the active block.
         bundle = str(tmp_path / "mid")
         assert main(["gen", "--out", bundle, "--n", "256", "--m", "128", "--k", "5",
                      "--noise", "sparse", "--s", "5", "--seed", "11"]) == 0
@@ -373,6 +374,7 @@ class TestFirstOrder:
         assert res.status == "optimal"
         assert res.iters < inst.phi.shape[0]
         assert res.certificate["restricted_lps"] == 0
+        assert res.certificate["active_set_solves"] >= 1
 
     @pytest.mark.parametrize("index", [17, 30, 90, 56])
     def test_criterion_1_tail_within_ten_thousand_iterations(self, index):
@@ -401,6 +403,65 @@ class TestFirstOrder:
         assert fo.iters > inst.phi.shape[0]
         assert abs(fo.objective - lp.objective) <= 1e-9 * lp.objective
         assert fo.residual_l1 <= inst.epsilon + 1e-8
+
+    # phi is 128 x 256; the active set of u and of the dual step's projection
+    # settles by iteration 20-30, where its least-squares point and dual
+    # close the gap (60 iterations each without the finish)
+    @pytest.mark.parametrize("noise", [{"kind": "none"}, {"kind": "sparse", "s": 5, "scale": 1.0}],
+                             ids=["noiseless", "s5"])
+    def test_least_squares_finish_before_m_iterations(self, noise):
+        inst = make_instance(256, 128, 5, noise, {"kind": "sparse", "amplitude": "gaussian"},
+                             RngSpec(11))
+        lp = solver.solve_lp_exact(solver.lp_formulate(inst.phi, inst.y, inst.epsilon))
+        fo = solver.solve_first_order(inst.phi, inst.y, inst.epsilon)
+        assert fo.status == "optimal" and fo.certificate["stop"] == "gap"
+        assert fo.iters <= 40
+        assert fo.certificate["active_set_solves"] >= 1
+        assert fo.certificate["restricted_lps"] == 0
+        assert abs(fo.objective - lp.objective) <= 1e-9 * lp.objective
+        assert fo.residual_l1 <= inst.epsilon + 1e-8
+
+    def test_wrong_active_set_stops_nothing(self, monkeypatch):
+        # A guess that misses a column of the support gives a point and a
+        # dual that the gap test on the whole problem refuses; the solve
+        # goes on to the optimum.
+        active_set_solve = solver._active_set_solve
+        guesses = []
+
+        def drop_one_column(phi, y, epsilon, u, q, p):
+            u = u.copy()
+            u[np.flatnonzero(u)[-1]] = 0.0
+            guesses.append(np.count_nonzero(u))
+            return active_set_solve(phi, y, epsilon, u, q, p)
+
+        monkeypatch.setattr(solver, "_active_set_solve", drop_one_column)
+        cases = [make_instance(256, 128, 5, {"kind": "sparse", "s": 5, "scale": 1.0},
+                               {"kind": "sparse", "amplitude": "gaussian"}, RngSpec(11))]
+        cases += [_criterion_1_instance(index) for index in (0, 17, 30, 94)]
+        for inst in cases:
+            lp = solver.solve_lp_exact(solver.lp_formulate(inst.phi, inst.y, inst.epsilon))
+            fo = solver.solve_first_order(inst.phi, inst.y, inst.epsilon)
+            assert fo.status == "optimal"
+            assert fo.certificate["active_set_solves"] >= 1
+            assert abs(fo.objective - lp.objective) <= 1e-6 * lp.objective
+            assert fo.residual_l1 <= inst.epsilon + 1e-8
+        assert guesses and min(guesses) >= 1
+
+    @pytest.mark.parametrize("index", [0, 94])
+    def test_finish_at_a_common_large_scale(self, index):
+        # At a common 1e6 the finish's points on the boundary of the ball
+        # exceed epsilon by rounding alone, by more than an absolute 1e-8:
+        # with the slack's rounding term m * 2^-52 * (||y||_1 + epsilon)
+        # these two solves take as many iterations as at unit scale (40),
+        # against 190 and 180 without it.
+        inst = _criterion_1_instance(index)
+        lp = solver.solve_lp_exact(solver.lp_formulate(inst.phi, inst.y, inst.epsilon))
+        base = solver.solve_first_order(inst.phi, inst.y, inst.epsilon)
+        fo = solver.solve_first_order(1e6 * inst.phi, 1e6 * inst.y, 1e6 * inst.epsilon)
+        assert fo.status == "optimal"
+        assert fo.iters <= base.iters
+        # a common scale leaves the minimiser unchanged
+        assert abs(fo.objective - lp.objective) <= 1e-9 * lp.objective
 
     # phi scaled apart from y and epsilon moves the optimum by the ratio of
     # the two scales; an absolute gap test accepted 46 and 48 of the 100
@@ -452,8 +513,9 @@ class TestFirstOrder:
     # slices of phi in the first-order solves of _random_instance seeds
     # 0-39; 19,449 while the restart check rebuilt the gap check's average
     # and its two products, 19,133 before the finish on the active set,
-    # 5,609 while each gap check also offered the average iterate
-    MATVECS = 4_724
+    # 5,609 while each gap check also offered the average iterate, 4,724
+    # before the least-squares finish
+    MATVECS = 3_886
 
     def test_matvec_count_pinned(self, monkeypatch):
         class CountingMatrix(np.ndarray):
