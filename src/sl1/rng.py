@@ -87,18 +87,7 @@ class Stream:
     def normal(self, n: int) -> np.ndarray:
         """Standard normals via Box-Muller: for half = ceil(n/2), the
         first half uniforms give the radii and the next half the angles."""
-        n = int(n)
-        if n == 0:
-            return np.zeros(0)
-        half = (n + 1) // 2
-        u = self.uniform(2 * half)
-        u1, u2 = u[:half], u[half:]
-        radius = np.sqrt(-2.0 * np.log1p(-u1))  # 1 - u1 lies in (0, 1]
-        angle = (2.0 * math.pi) * u2
-        out = np.empty(2 * half)
-        out[0::2] = radius * np.cos(angle)
-        out[1::2] = radius * np.sin(angle)
-        return out[:n]
+        return self.normal_rows(1, n)[0]
 
     def normal_rows(self, rows: int, n: int) -> np.ndarray:
         """`rows` successive normal(n) draws as the rows of one (rows, n)

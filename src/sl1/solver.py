@@ -501,6 +501,12 @@ def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> So
         # a gap below -tolerance shows an incumbent outside the ball
         return incumbent.u is not None and abs(gap) <= otol * abs(incumbent.obj)
 
+    def offer(u_c, q_c, lower, polish):
+        # a finish only offers a point and a dual bound to the gap test
+        incumbent.offer(u_c, phi @ u_c, polish)
+        lower = max(lower, _dual_lower_bound(q_c, phi.T @ q_c, y, epsilon))
+        return lower, incumbent.obj - lower
+
     pattern = None                 # the sign pattern of u at the previous check
     solved = set()                 # the (u, p) sign patterns solved on their active set
     tried = set()                  # the patterns whose restricted LP has run
@@ -525,22 +531,15 @@ def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> So
                 if active not in solved:
                     solved.add(active)
                     u_active, q_active = _active_set_solve(phi, y, epsilon, u, q, p)
-                    incumbent.offer(u_active, phi @ u_active, polish)
-                    lower = max(lower, _dual_lower_bound(q_active, phi.T @ q_active,
-                                                         y, epsilon))
-                    gap = incumbent.obj - lower
+                    lower, gap = offer(u_active, q_active, lower, polish)
                 if not closes(gap) and polish and pattern not in tried:
                     tried.add(pattern)
                     support = np.flatnonzero(u)
                     exact = solve_lp_exact(lp_formulate(phi[:, support], y, epsilon))
                     if exact.is_usable():
-                        u_exact = core.embed(exact.u_star, support, n)
-                        incumbent.offer(u_exact, phi @ u_exact, polish)
                         duals = exact.certificate["duals"]
-                        q_exact = duals[m:2 * m] - duals[:m]
-                        lower = max(lower, _dual_lower_bound(q_exact, phi.T @ q_exact,
-                                                             y, epsilon))
-                        gap = incumbent.obj - lower
+                        lower, gap = offer(core.embed(exact.u_star, support, n),
+                                           duals[m:2 * m] - duals[:m], lower, polish)
             if closes(gap):
                 stop = "gap"
                 break
