@@ -97,7 +97,7 @@ class Stream:
         rows, n = int(rows), int(n)
         half = (n + 1) // 2
         u = self.uniform(rows * 2 * half).reshape(rows, 2, half)
-        radius = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
+        radius = np.sqrt(-2.0 * np.log1p(-u[:, 0]))  # 1 - u lies in (0, 1]
         angle = (2.0 * math.pi) * u[:, 1]
         out = np.empty((rows, 2 * half))
         out[:, 0::2] = radius * np.cos(angle)
