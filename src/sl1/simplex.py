@@ -1,12 +1,23 @@
 """Self-contained dense simplex for LPs of the form
 
-    minimize c @ x   subject to   a @ x <= b,  x >= 0,   with b >= 0.
+    minimize c @ x   subject to   a @ x <= b,  x_j >= 0 unless j is free,
+    with b >= 0.
 
 The origin is then a feasible vertex, so one phase suffices: the solve
 starts from the slack basis, and a negative right-hand side is rejected
 with ``ValueError``.  An LP with nonnegative costs but a negative
 right-hand side can be solved through its dual, which meets this form;
-``solver.solve_lp_exact`` does so.
+``solver.solve_lp_exact`` does so, with the dual's residual multiplier
+as free columns.
+
+A free column (the ``free`` mask of ``solve_canonical``) is no split
+pair x+ - x-: while nonbasic it prices at -|d_j|, and one with d_j > 0
+is negated before it enters (x_j -> -x_j, exact; 0.0 - t keeps the
+tableau free of -0.0), so it enters as a bounded column would.  Once
+basic its value may take either sign, so its row is locked: left out of
+the ratio test, it never leaves.  A free column therefore enters at
+most once, and x reads the negated ones back with their sign.  The
+duals do not change with a column's sign.
 
 The tableau is the compact (dictionary) one: it stores only the n
 nonbasic columns and the right-hand side, m x (n + 1), with a
@@ -34,9 +45,10 @@ pricing and the ratio test never read it, x comes from rows that have
 been pivot rows, and the cost row is updated from the pivot row alone.
 
 Dantzig pricing picks the entering variable (most negative reduced
-cost, exact ties going to the smallest variable index, not the slot);
-the ratio test picks the leaving row, breaking minimum-ratio ties
-toward the largest pivot element for stability.  There is no
+cost, -|d_j| for a free one, exact ties going to the smallest variable
+index, not the slot); the ratio test picks the leaving row among the
+unlocked ones, breaking minimum-ratio ties toward the largest pivot
+element for stability.  There is no
 anti-cycling rule: the pivot cap is the only bound on the loop, so a
 solve that would cycle ends with ``pivot-limit``.  Intended for
 small/medium dense problems where an exact optimum is wanted as a
@@ -106,25 +118,46 @@ def _pivot(tableau, cost, basis, nonbasic, row, col, work):
     basis[row], nonbasic[col] = nonbasic[col], basis[row]
 
 
-def _iterate(tableau, cost, basis, nonbasic, max_pivots):
-    """Pivot until optimal/unbounded/limit."""
+def _iterate(tableau, cost, basis, nonbasic, max_pivots, free=None):
+    """Pivot until optimal/unbounded/limit.  `free` marks the slots that
+    hold nonbasic free variables; it is cleared as they enter, and the
+    rows they enter are locked out of the ratio test.  Returns the
+    status, the pivot count and the variables negated on entry."""
     work = _Work(tableau)
     ratios, positive = work.ratios, work.positive
     rhs = tableau[:, -1]
+    reduced = cost[:-1]
+    if free is None:
+        pricing = reduced
+    else:
+        pricing = np.empty_like(reduced)
+        locked = np.zeros(rhs.size, dtype=bool)
+    negated = []
     pivots = 0
     while True:
-        negative = np.nonzero(cost[:-1] < -TOL)[0]
+        if free is not None:
+            np.copyto(pricing, reduced)
+            pricing[free] = -np.abs(reduced[free])
+        negative = np.nonzero(pricing < -TOL)[0]
         if negative.size == 0:
-            return OPTIMAL, pivots
+            return OPTIMAL, pivots, negated
         if pivots >= max_pivots:
-            return PIVOT_LIMIT, pivots
-        values = cost[negative]
+            return PIVOT_LIMIT, pivots, negated
+        values = pricing[negative]
         tied = negative[values == values.min()]
         enter = int(tied[0] if tied.size == 1 else tied[np.argmin(nonbasic[tied])])
         col = tableau[:, enter]
+        entering_free = free is not None and free[enter]
+        if entering_free and reduced[enter] > 0.0:
+            # x_j -> -x_j: 0.0 - t negates exactly and makes no -0.0
+            np.subtract(0.0, col, out=col)
+            reduced[enter] = -reduced[enter]
+            negated.append(int(nonbasic[enter]))
         np.greater(col, TOL, out=positive)
+        if free is not None:
+            positive &= ~locked
         if not positive.any():
-            return UNBOUNDED, pivots
+            return UNBOUNDED, pivots, negated
         ratios.fill(np.inf)
         np.divide(rhs, col, out=ratios, where=positive)
         best = ratios.min()
@@ -132,9 +165,17 @@ def _iterate(tableau, cost, basis, nonbasic, max_pivots):
         leave = int(ties[0] if ties.size == 1 else ties[np.argmax(col[ties])])
         _pivot(tableau, cost, basis, nonbasic, leave, enter, work)
         pivots += 1
+        if entering_free:
+            # a free basic variable never leaves, so the variable that
+            # takes over its slot is not free
+            locked[leave] = True
+            free[enter] = False
 
 
-def solve_canonical(c, a, b, max_pivots: int = 100_000) -> SimplexResult:
+def solve_canonical(c, a, b, max_pivots: int = 100_000, free=None) -> SimplexResult:
+    """Solve the LP of the module docstring; `free` (a boolean mask over
+    the n columns, or None) marks the variables without the bound
+    x >= 0."""
     c = np.asarray(c, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -147,6 +188,10 @@ def solve_canonical(c, a, b, max_pivots: int = 100_000) -> SimplexResult:
         raise ValueError("LP data must be finite")
     if np.any(b < 0):
         raise ValueError("right-hand side must be nonnegative (the origin must be feasible)")
+    if free is not None:
+        free = np.array(free, dtype=bool)
+        if free.shape != (n,):
+            raise ValueError("free mask must have one entry per column")
 
     # Start from the slack basis at the origin; its reduced costs are c.
     # Variables n..n+m-1 are the slacks.  The tableau is built row-major
@@ -159,15 +204,16 @@ def solve_canonical(c, a, b, max_pivots: int = 100_000) -> SimplexResult:
     cost = np.concatenate([c, [0.0]])
     basis = np.arange(n, n + m, dtype=np.int64)
     nonbasic = np.arange(n, dtype=np.int64)
-    status, pivots = _iterate(tableau, cost, basis, nonbasic, max_pivots)
+    status, pivots, negated = _iterate(tableau, cost, basis, nonbasic, max_pivots, free)
     if status == UNBOUNDED:
         return SimplexResult(UNBOUNDED, None, None, pivots, None)
 
     full = np.zeros(n + m)
     full[basis] = tableau[:, -1]
     x = full[:n]
+    x[negated] = -x[negated]
     # Dual of row i is minus the reduced cost of its slack; a basic
-    # slack's reduced cost is zero.
+    # slack's reduced cost is zero.  Negating a column changes no dual.
     reduced = np.zeros(n + m)
     reduced[nonbasic] = cost[:-1]
     return SimplexResult(status, x, float(c @ x), pivots, -reduced[n:])

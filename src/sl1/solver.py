@@ -4,7 +4,8 @@
 
 Two routes share one result contract: an exact reduction to a linear
 program, whose dual the built-in simplex method solves from the origin
-(the reference oracle for small problems), and a restarted primal-dual
+with the residual multiplier as free columns (the reference oracle for
+small problems; see solve_lp_exact), and a restarted primal-dual
 hybrid gradient scheme with a primal weight (the scalable path).  The
 program is a sharp LP, on which restarting PDHG from its current
 iterate converges linearly (Applegate, Hinder, Lu, Lubin, Math. Prog.
@@ -175,7 +176,10 @@ class LpProblem:
         s.t.  phi (u+ - u-) + t >= y,  -phi (u+ - u-) + t >= -y,
               sum(t) <= epsilon,  u+, u-, t >= 0,
 
-    stored in '<=' form over the stacked variable z = (u+, u-, t).
+    stored in '<=' form over the stacked variable z = (u+, u-, t): the
+    reference form for outside solvers (HiGHS) and vertex enumeration.
+    solve_lp_exact reads only phi, y and epsilon; the duals of its
+    certificate are those of the 2m + 1 rows of a_ub.
     """
 
     c: np.ndarray
@@ -218,43 +222,58 @@ def _power_of_two_below(value: float) -> float:
 
 
 def solve_lp_exact(lp: LpProblem, config: SolverConfig = None) -> SolverResult:
-    """Exact solve of the LP reduction through its dual
+    """Exact solve of the LP reduction through its dual, whose residual
+    multiplier w stays free:
 
-        minimize b_ub @ p   s.t.   -a_ub.T @ p <= c,  p >= 0,
+        minimize -y @ w + epsilon * lam
+        s.t.  phi.T @ w <= 1,  -phi.T @ w <= 1,  w - lam <= 0,  -w - lam <= 0,
+              lam >= 0.
 
-    whose right-hand side c is nonnegative, so the built-in simplex
-    method starts it feasible at the origin.  The primal z comes back as
-    the dual's row duals, and the certificate keeps the primal's duals
-    (-p).  An unbounded dual means the residual ball is out of reach
-    ("infeasible-detected"); a solve capped at 10 * max_iters pivots
-    carries no iterate ("iteration-limit").
+    Its right-hand side (1, 0) is nonnegative, so the built-in simplex
+    method starts it feasible at the origin, on a (2n + 2m) x (m + 2)
+    tableau.  Only phi, y and epsilon of `lp` are read.  The primal u
+    comes back from the duals of the first 2n rows (u+ and u-), and the
+    certificate keeps the duals of lp_formulate's 2m + 1 rows:
+    -(max(w, 0), max(-w, 0), lam).  An unbounded dual means the residual
+    ball is out of reach ("infeasible-detected"); a solve capped at
+    10 * max_iters pivots carries no iterate ("iteration-limit").
 
     The simplex tolerances are absolute, so the LP is solved with phi
     divided by the power of two s_phi that puts max|phi_ij| in [1, 2) and
-    b_ub by the power of two s_y that puts ||y||_1 in [1, 2); u and the
-    objectives are multiplied back by s_y / s_phi and the duals by
-    1 / s_phi.  A power of two scales exactly.
+    y and epsilon by the power of two s_y that puts ||y||_1 in [1, 2); u
+    and the objectives are multiplied back by s_y / s_phi and the duals
+    by 1 / s_phi.  A power of two scales exactly.
     """
     cfg = config if config is not None else SolverConfig(method=METHOD_LP)
-    n = lp.phi.shape[1]
+    m, n = lp.phi.shape
     s_phi = _power_of_two_below(float(abs(lp.phi).max()))
     s_y = _power_of_two_below(core.norm_lp(lp.y, 1))
-    dual_a = -lp.a_ub.T
-    dual_a[:2 * n] /= s_phi
-    res = simplex.solve_canonical(lp.b_ub / s_y, dual_a, lp.c, max_pivots=cfg.max_iters * 10)
+    phit = lp.phi.T / s_phi
+    eye = np.eye(m)
+    dual_a = np.zeros((2 * n + 2 * m, m + 1))
+    dual_a[:n, :m] = phit
+    dual_a[n:2 * n, :m] = -phit
+    dual_a[2 * n:2 * n + m, :m] = eye
+    dual_a[2 * n + m:, :m] = -eye
+    dual_a[2 * n:, m] = -1.0
+    dual_b = np.concatenate([np.ones(2 * n), np.zeros(2 * m)])
+    dual_c = np.append(-lp.y / s_y, lp.epsilon / s_y)
+    res = simplex.solve_canonical(dual_c, dual_a, dual_b, max_pivots=cfg.max_iters * 10,
+                                  free=np.arange(m + 1) < m)
     if res.status != simplex.OPTIMAL:
         status = STATUS_INFEASIBLE if res.status == simplex.UNBOUNDED else STATUS_ITER_LIMIT
         return SolverResult(
             u_star=np.zeros(n), objective=math.inf, residual_l1=math.inf,
             status=status, iters=res.pivots, certificate=None)
     ratio = s_y / s_phi
-    z = -res.duals
+    z = -res.duals[:2 * n]
     u = lp.signal_from(z) * ratio
     dual_obj = -res.objective * ratio
+    w = res.x[:m]
     certificate = {
-        "duals": -res.x / s_phi,
+        "duals": -np.concatenate([np.maximum(w, 0.0), np.maximum(-w, 0.0), res.x[m:]]) / s_phi,
         "dual_objective": dual_obj,
-        "strong_duality_gap": float(lp.c @ z) * ratio - dual_obj,
+        "strong_duality_gap": float(z.sum()) * ratio - dual_obj,
     }
     return SolverResult(
         u_star=u,

@@ -270,9 +270,10 @@ class TestSolve:
         assert outputs[0] == outputs[1]
 
     def test_lp_exact_output_independent_of_blas_threads(self, tmp_path):
-        # a 256x128 bundle: each pivot's (640 x 2) @ (2 x 258) update is
-        # large enough for the BLAS to split it across two threads (it runs
-        # in about half the time), where the exact grid's 320 x 130 is not
+        # a 256x128 bundle: each pivot's update is a (768 x 2) @ (2 x 130)
+        # product, the largest the suite's lp-exact solves make (four times
+        # the exact grid's 384 x 66); its bytes must not depend on how the
+        # BLAS splits it
         import sl1
         assert main(["gen", "--out", str(tmp_path / "b"), "--n", "256", "--m", "128",
                      "--k", "5", "--noise", "sparse", "--s", "5", "--seed", "11"]) == 0
@@ -507,9 +508,11 @@ class TestGrid:
 
     # sha256 of the first 12 columns (runtime_ms cut) of trials.csv of the
     # 40-trial lp-exact grid at 128x64, k = s = 4, seed 14142, recorded
-    # since solve_lp_exact scales phi and y by powers of two at any size
-    # (2,330 pivots; 2,489 before) (x86-64 Linux, numpy 2.4)
-    EXACT_TRIALS = "e9b3a16ac58e5d8c278a1b3754f35858aa025fcb0430b375701eafe15997c02b"
+    # since solve_lp_exact keeps the dual's residual multiplier free: the
+    # pivot counts moved and err_l2 moved in its last bits (1,561 pivots;
+    # 2,330 with the multiplier split in two, 2,489 before the power-of-two
+    # scaling) (x86-64 Linux, numpy 2.4)
+    EXACT_TRIALS = "33e7539bfc684294320871670a6746e54b947f723070a6e47459ae12f5b6e5f0"
 
     def test_lp_exact_grid_bytes_pinned(self, tmp_path):
         out = tmp_path / "exact"

@@ -116,7 +116,8 @@ def test_rejects_non_finite_data(where, value):
 
 
 def _dual_lp(inst):
-    """The LP that solver.solve_lp_exact hands to the simplex."""
+    """The dual of the LP reduction with its residual multiplier split in
+    two nonnegative parts, all columns bounded: a large, degenerate LP."""
     lp = solver.lp_formulate(inst.phi, inst.y, inst.epsilon)
     return lp.b_ub, -lp.a_ub.T, lp.c
 
@@ -301,3 +302,115 @@ class TestEmptyDimensions:
         res = _assert_same_as_full_tableau([1.0], np.zeros((0, 1)), [])
         assert res.status == simplex.OPTIMAL
         assert _bytes(res.x) == _bytes([0.0]) and res.duals.shape == (0,)
+
+
+def _free_lp(stream):
+    """A random LP with b >= 0, some columns free, and every column boxed
+    to [-2, 2] (the bound x >= 0 of the others aside), so it is bounded."""
+    m = 2 + stream.integer_below(5)
+    n = 2 + stream.integer_below(5)
+    free = stream.normal(n) < 0.3
+    a = np.vstack([stream.normal(m * n).reshape(m, n), np.eye(n), -np.eye(n)[free]])
+    b = np.concatenate([np.abs(stream.normal(m)) + 0.1, np.full(n + free.sum(), 2.0)])
+    return stream.normal(n), a, b, free
+
+
+class TestFreeColumns:
+    """Columns without the bound x >= 0: priced at -|d_j|, negated before
+    they enter when d_j > 0, and never leaving once basic."""
+
+    def test_random_lps_match_highs(self):
+        from scipy.optimize import linprog
+
+        stream = Stream(RngSpec(606))
+        negative = 0
+        for trial in range(60):
+            c, a, b, free = _free_lp(stream)
+            res = simplex.solve_canonical(c, a, b, free=free)
+            bounds = [(None, None) if f else (0, None) for f in free]
+            ref = linprog(c, A_ub=a, b_ub=b, bounds=bounds, method="highs")
+            assert ref.status == 0 and res.status == simplex.OPTIMAL, trial
+            assert abs(res.objective - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun)), trial
+            assert np.all(a @ res.x <= b + 1e-9), trial
+            assert np.all(res.x[~free] >= 0.0), trial
+            # the dual: b @ duals = objective, duals <= 0, and a.T @ duals
+            # equals c on the free columns and stays below it on the others
+            assert float(b @ res.duals) == pytest.approx(res.objective, abs=1e-9), trial
+            assert np.all(res.duals <= 1e-9), trial
+            reduced = c - a.T @ res.duals
+            assert np.all(abs(reduced[free]) <= 1e-9) and np.all(reduced[~free] >= -1e-9), trial
+            negative += int(np.any(res.x[free] < -1e-9))
+        assert negative >= 10
+
+    def test_negative_free_variable_at_the_optimum(self):
+        # min x1 + x2 s.t. -x1 + x2 <= 3, x2 <= 1, x1 free: x = (-3, 0)
+        res = simplex.solve_canonical([1.0, 1.0], [[-1.0, 1.0], [0.0, 1.0]], [3.0, 1.0],
+                                      free=[True, False])
+        assert res.status == simplex.OPTIMAL
+        assert _bytes(res.x) == _bytes([-3.0, 0.0])
+        assert res.objective == -3.0
+        assert _bytes(res.duals) == _bytes([-1.0, -0.0])
+
+    def test_positive_reduced_cost_flips_the_column(self, monkeypatch):
+        # min 3 x1 - x2 s.t. -x1 <= 1, x2 <= 1, both free: x1 prices at -3
+        # and enters first, negated, so that it can decrease to -1; without
+        # the flip its column holds no positive entry.  The flip makes no
+        # -0.0 of the column's zero.
+        pivot = simplex._pivot
+        entering = []
+
+        def checked_pivot(tableau, cost, basis, nonbasic, row, col, work):
+            assert not np.signbit(tableau[tableau == 0.0]).any()
+            entering.append((int(nonbasic[col]), tableau[:, col].tolist()))
+            pivot(tableau, cost, basis, nonbasic, row, col, work)
+
+        monkeypatch.setattr(simplex, "_pivot", checked_pivot)
+        res = simplex.solve_canonical([3.0, -1.0], [[-1.0, 0.0], [0.0, 1.0]], [1.0, 1.0],
+                                      free=[True, True])
+        assert (res.status, res.pivots) == (simplex.OPTIMAL, 2)
+        assert entering == [(0, [1.0, 0.0]), (1, [0.0, 1.0])]
+        assert _bytes(res.x) == _bytes([-1.0, 1.0])
+        assert res.objective == -4.0
+
+    def test_unbounded_along_a_free_column(self):
+        from scipy.optimize import linprog
+
+        # min -x1 - 2 x2 s.t. x1 + x2 <= 1, x1 free: x2 enters first; then
+        # x1 prices at +1 and, negated, has no positive entry: x1 -> -inf
+        c, a, b = [-1.0, -2.0], [[1.0, 1.0]], [1.0]
+        res = simplex.solve_canonical(c, a, b, free=[True, False])
+        assert (res.status, res.pivots) == (simplex.UNBOUNDED, 1)
+        ref = linprog(c, A_ub=a, b_ub=b, bounds=[(None, None), (0, None)], method="highs")
+        assert ref.status == 3
+
+    def test_locked_row_never_leaves(self, monkeypatch):
+        # min -3 x1 - 2 x2 s.t. x1 + x2 / 2 <= 1, x2 <= 4, x1 free: x1
+        # enters on row 0, then x2, whose ratio is 2 on row 0 and 4 on
+        # row 1.  Row 0 holds the free x1 and is left out, so x2 leaves
+        # at 4 with x1 = -1 on the second pivot (a third would follow had
+        # x1 left row 0 at zero).
+        pivot = simplex._pivot
+        rows = []
+
+        def recording_pivot(tableau, cost, basis, nonbasic, row, col, work):
+            rows.append(row)
+            pivot(tableau, cost, basis, nonbasic, row, col, work)
+
+        monkeypatch.setattr(simplex, "_pivot", recording_pivot)
+        res = simplex.solve_canonical([-3.0, -2.0], [[1.0, 0.5], [0.0, 1.0]], [1.0, 4.0],
+                                      free=[True, False])
+        assert (res.status, rows) == (simplex.OPTIMAL, [0, 1])
+        assert _bytes(res.x) == _bytes([-1.0, 4.0])
+        assert res.objective == -5.0
+
+    def test_no_free_column_is_the_bounded_solve(self):
+        for lp in _criterion_1_lps(5):
+            plain = simplex.solve_canonical(*lp)
+            masked = simplex.solve_canonical(*lp, free=np.zeros(lp[0].size, dtype=bool))
+            assert (plain.status, plain.pivots) == (masked.status, masked.pivots)
+            for field in ("x", "duals", "objective"):
+                assert _bytes(getattr(plain, field)) == _bytes(getattr(masked, field)), field
+
+    def test_mask_shape_checked(self):
+        with pytest.raises(ValueError, match="free mask"):
+            simplex.solve_canonical([1.0, 2.0], [[1.0, 1.0]], [1.0], free=[True])
