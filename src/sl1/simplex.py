@@ -118,11 +118,11 @@ def _pivot(tableau, cost, basis, nonbasic, row, col, work):
     basis[row], nonbasic[col] = nonbasic[col], basis[row]
 
 
-def _iterate(tableau, cost, basis, nonbasic, max_pivots, free=None):
-    """Pivot until optimal/unbounded/limit.  `free` marks the slots that
-    hold nonbasic free variables; it is cleared as they enter, and the
-    rows they enter are locked out of the ratio test.  Returns the
-    status, the pivot count and the variables negated on entry."""
+def _iterate(tableau, cost, basis, nonbasic, max_pivots, free):
+    """Pivot until optimal/unbounded/limit.  `free` (or None) marks the
+    slots that hold nonbasic free variables; it is cleared as they enter,
+    and the rows they enter are locked out of the ratio test.  Returns
+    the status, the pivot count and the variables negated on entry."""
     work = _Work(tableau)
     ratios, positive = work.ratios, work.positive
     rhs = tableau[:, -1]
