@@ -119,25 +119,21 @@ def _pivot(tableau, cost, basis, nonbasic, row, col, work):
 
 
 def _iterate(tableau, cost, basis, nonbasic, max_pivots, free):
-    """Pivot until optimal/unbounded/limit.  `free` (or None) marks the
-    slots that hold nonbasic free variables; it is cleared as they enter,
-    and the rows they enter are locked out of the ratio test.  Returns
-    the status, the pivot count and the variables negated on entry."""
+    """Pivot until optimal/unbounded/limit.  `free` marks the slots that
+    hold nonbasic free variables; it is cleared as they enter, and the
+    rows they enter are locked out of the ratio test.  Returns the
+    status, the pivot count and the variables negated on entry."""
     work = _Work(tableau)
     ratios, positive = work.ratios, work.positive
     rhs = tableau[:, -1]
     reduced = cost[:-1]
-    if free is None:
-        pricing = reduced
-    else:
-        pricing = np.empty_like(reduced)
-        locked = np.zeros(rhs.size, dtype=bool)
+    pricing = np.empty_like(reduced)
+    locked = np.zeros(rhs.size, dtype=bool)
     negated = []
     pivots = 0
     while True:
-        if free is not None:
-            np.copyto(pricing, reduced)
-            pricing[free] = -np.abs(reduced[free])
+        np.copyto(pricing, reduced)
+        pricing[free] = -np.abs(reduced[free])
         negative = np.nonzero(pricing < -TOL)[0]
         if negative.size == 0:
             return OPTIMAL, pivots, negated
@@ -147,15 +143,14 @@ def _iterate(tableau, cost, basis, nonbasic, max_pivots, free):
         tied = negative[values == values.min()]
         enter = int(tied[0] if tied.size == 1 else tied[np.argmin(nonbasic[tied])])
         col = tableau[:, enter]
-        entering_free = free is not None and free[enter]
+        entering_free = free[enter]
         if entering_free and reduced[enter] > 0.0:
             # x_j -> -x_j: 0.0 - t negates exactly and makes no -0.0
             np.subtract(0.0, col, out=col)
             reduced[enter] = -reduced[enter]
             negated.append(int(nonbasic[enter]))
         np.greater(col, TOL, out=positive)
-        if free is not None:
-            positive &= ~locked
+        positive &= ~locked
         if not positive.any():
             return UNBOUNDED, pivots, negated
         ratios.fill(np.inf)
@@ -174,7 +169,7 @@ def _iterate(tableau, cost, basis, nonbasic, max_pivots, free):
 
 def solve_canonical(c, a, b, max_pivots: int = 100_000, free=None) -> SimplexResult:
     """Solve the LP of the module docstring; `free` (a boolean mask over
-    the n columns, or None) marks the variables without the bound
+    the n columns; None for none) marks the variables without the bound
     x >= 0."""
     c = np.asarray(c, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
@@ -188,10 +183,9 @@ def solve_canonical(c, a, b, max_pivots: int = 100_000, free=None) -> SimplexRes
         raise ValueError("LP data must be finite")
     if np.any(b < 0):
         raise ValueError("right-hand side must be nonnegative (the origin must be feasible)")
-    if free is not None:
-        free = np.array(free, dtype=bool)
-        if free.shape != (n,):
-            raise ValueError("free mask must have one entry per column")
+    free = np.zeros(n, dtype=bool) if free is None else np.array(free, dtype=bool)
+    if free.shape != (n,):
+        raise ValueError("free mask must have one entry per column")
 
     # Start from the slack basis at the origin; its reduced costs are c.
     # Variables n..n+m-1 are the slacks.  The tableau is built row-major

@@ -403,14 +403,6 @@ class TestFreeColumns:
         assert _bytes(res.x) == _bytes([-1.0, 4.0])
         assert res.objective == -5.0
 
-    def test_no_free_column_is_the_bounded_solve(self):
-        for lp in _criterion_1_lps(5):
-            plain = simplex.solve_canonical(*lp)
-            masked = simplex.solve_canonical(*lp, free=np.zeros(lp[0].size, dtype=bool))
-            assert (plain.status, plain.pivots) == (masked.status, masked.pivots)
-            for field in ("x", "duals", "objective"):
-                assert _bytes(getattr(plain, field)) == _bytes(getattr(masked, field)), field
-
     def test_mask_shape_checked(self):
         with pytest.raises(ValueError, match="free mask"):
             simplex.solve_canonical([1.0, 2.0], [[1.0, 1.0]], [1.0], free=[True])
