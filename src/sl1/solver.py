@@ -5,7 +5,9 @@
 Two routes share one result contract: an exact reduction to a linear
 program, whose dual the built-in simplex method solves from the origin
 with the residual multiplier as free columns (the reference oracle for
-small problems; see solve_lp_exact), and a restarted primal-dual
+small problems; see solve_lp_exact: the dual is written straight into
+the simplex table, and the dense primal LP of lp_formulate is built
+only when an outside solver reads it), and a restarted primal-dual
 hybrid gradient scheme with a primal weight (the scalable path).  The
 program is a sharp LP, on which restarting PDHG from its current
 iterate converges linearly (Applegate, Hinder, Lu, Lubin, Math. Prog.
@@ -33,6 +35,7 @@ its only stop rule besides the iteration cap, and the gap it accepted
 is the one reported in the certificate.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -177,17 +180,44 @@ class LpProblem:
               sum(t) <= epsilon,  u+, u-, t >= 0,
 
     stored in '<=' form over the stacked variable z = (u+, u-, t): the
-    reference form for outside solvers (HiGHS) and vertex enumeration.
-    solve_lp_exact reads only phi, y and epsilon; the duals of its
+    reference form for outside solvers (HiGHS) and vertex enumeration,
+
+        c = (1_n, 1_n, 0_m),   b_ub = (-y, y, epsilon),
+        a_ub = [[-phi, phi, -I], [phi, -phi, -I], [0, 0, 1_m^T]].
+
+    c, a_ub and b_ub are built on first read and cached (assigning to
+    them replaces the cached array); solve_lp_exact reads only phi, y and
+    epsilon, so an exact solve never builds them.  The duals of its
     certificate are those of the 2m + 1 rows of a_ub.
     """
 
-    c: np.ndarray
-    a_ub: np.ndarray
-    b_ub: np.ndarray
     phi: np.ndarray
     y: np.ndarray
     epsilon: float
+
+    @functools.cached_property
+    def c(self) -> np.ndarray:
+        m, n = self.phi.shape
+        return np.concatenate([np.ones(2 * n), np.zeros(m)])
+
+    @functools.cached_property
+    def a_ub(self) -> np.ndarray:
+        phi = self.phi
+        m, n = phi.shape
+        eye = np.eye(m)
+        a_ub = np.zeros((2 * m + 1, 2 * n + m))
+        a_ub[:m, :n] = -phi
+        a_ub[:m, n:2 * n] = phi
+        a_ub[:m, 2 * n:] = -eye
+        a_ub[m:2 * m, :n] = phi
+        a_ub[m:2 * m, n:2 * n] = -phi
+        a_ub[m:2 * m, 2 * n:] = -eye
+        a_ub[2 * m, 2 * n:] = 1.0
+        return a_ub
+
+    @functools.cached_property
+    def b_ub(self) -> np.ndarray:
+        return np.concatenate([-self.y, self.y, [self.epsilon]])
 
     def signal_from(self, z) -> np.ndarray:
         n = self.phi.shape[1]
@@ -202,18 +232,7 @@ def lp_formulate(phi, y, epsilon: float) -> LpProblem:
         raise ValueError(f"phi is {m}x{n} but y has length {y.size}")
     if not epsilon >= 0:  # NaN fails this test too
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-    eye = np.eye(m)
-    a_ub = np.zeros((2 * m + 1, 2 * n + m))
-    a_ub[:m, :n] = -phi
-    a_ub[:m, n:2 * n] = phi
-    a_ub[:m, 2 * n:] = -eye
-    a_ub[m:2 * m, :n] = phi
-    a_ub[m:2 * m, n:2 * n] = -phi
-    a_ub[m:2 * m, 2 * n:] = -eye
-    a_ub[2 * m, 2 * n:] = 1.0
-    b_ub = np.concatenate([-y, y, [float(epsilon)]])
-    c = np.concatenate([np.ones(2 * n), np.zeros(m)])
-    return LpProblem(c=c, a_ub=a_ub, b_ub=b_ub, phi=phi, y=y, epsilon=float(epsilon))
+    return LpProblem(phi=phi, y=y, epsilon=float(epsilon))
 
 
 def _power_of_two_below(value: float) -> float:
@@ -230,13 +249,15 @@ def solve_lp_exact(lp: LpProblem, config: SolverConfig = None) -> SolverResult:
               lam >= 0.
 
     Its right-hand side (1, 0) is nonnegative, so the built-in simplex
-    method starts it feasible at the origin, on a (2n + 2m) x (m + 2)
-    tableau.  Only phi, y and epsilon of `lp` are read.  The primal u
-    comes back from the duals of the first 2n rows (u+ and u-), and the
-    certificate keeps the duals of lp_formulate's 2m + 1 rows:
-    -(max(w, 0), max(-w, 0), lam).  An unbounded dual means the residual
-    ball is out of reach ("infeasible-detected"); a solve capped at
-    10 * max_iters pivots carries no iterate ("iteration-limit").
+    method starts it feasible at the origin.  The data is written
+    straight into the simplex's (2n + 2m + 1) x (m + 2) table (the cost
+    row last; simplex.canonical_table), which is pivoted in place.  Only
+    phi, y and epsilon of `lp` are read.  The primal u comes back from
+    the duals of the first 2n rows (u+ and u-), and the certificate keeps
+    the duals of lp_formulate's 2m + 1 rows: -(max(w, 0), max(-w, 0),
+    lam).  An unbounded dual means the residual ball is out of reach
+    ("infeasible-detected"); a solve capped at 10 * max_iters pivots
+    carries no iterate ("iteration-limit").
 
     The simplex tolerances are absolute, so the LP is solved with phi
     divided by the power of two s_phi that puts max|phi_ij| in [1, 2) and
@@ -248,16 +269,17 @@ def solve_lp_exact(lp: LpProblem, config: SolverConfig = None) -> SolverResult:
     m, n = lp.phi.shape
     s_phi = _power_of_two_below(float(abs(lp.phi).max()))
     s_y = _power_of_two_below(core.norm_lp(lp.y, 1))
-    phit = lp.phi.T / s_phi
-    eye = np.eye(m)
-    dual_a = np.zeros((2 * n + 2 * m, m + 1))
-    dual_a[:n, :m] = phit
-    dual_a[n:2 * n, :m] = -phit
-    dual_a[2 * n:2 * n + m, :m] = eye
-    dual_a[2 * n + m:, :m] = -eye
+    dual_c, dual_a, dual_b = simplex.canonical_table(2 * n + 2 * m, m + 1)
+    phit = dual_a[:n, :m]
+    np.divide(lp.phi.T, s_phi, out=phit)
+    np.negative(phit, out=dual_a[n:2 * n, :m])
+    diagonal = np.arange(m)
+    dual_a[2 * n + diagonal, diagonal] = 1.0
+    dual_a[2 * n + m + diagonal, diagonal] = -1.0
     dual_a[2 * n:, m] = -1.0
-    dual_b = np.concatenate([np.ones(2 * n), np.zeros(2 * m)])
-    dual_c = np.append(-lp.y / s_y, lp.epsilon / s_y)
+    dual_b[:2 * n] = 1.0
+    np.divide(-lp.y, s_y, out=dual_c[:m])
+    dual_c[m] = lp.epsilon / s_y
     res = simplex.solve_canonical(dual_c, dual_a, dual_b, max_pivots=cfg.max_iters * 10,
                                   free=np.arange(m + 1) < m)
     if res.status != simplex.OPTIMAL:

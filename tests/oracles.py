@@ -335,12 +335,15 @@ def cross_climb_scalar(bu, bv, sel, z0, directions):
     return z, val, v, evals
 
 
-def simplex_full_tableau(c, a, b, max_pivots=100_000, tol=1e-9):
+def simplex_full_tableau(c, a, b, max_pivots=100_000, tol=1e-9, free=None):
     """Dense one-phase simplex on the full tableau [a | I | b], slack
     basis at the origin (b >= 0), Dantzig pricing with exact ties to the
     smallest variable index, minimum-ratio ties (within 1e-9) to the
     largest pivot element.  Every column, the slack identity included,
-    is updated at every pivot.
+    is updated at every pivot.  A column marked in `free` (a boolean
+    mask over the n columns) has no bound x >= 0: it prices at -|d_j|,
+    is negated with its cost (0.0 - t, exact) before it enters when
+    d_j > 0, and once basic its row is left out of the ratio test.
     Returns (status, x, objective, pivots, duals); x, objective and duals
     are None when unbounded."""
     c = np.asarray(c, dtype=np.float64)
@@ -350,18 +353,28 @@ def simplex_full_tableau(c, a, b, max_pivots=100_000, tol=1e-9):
     tableau = np.hstack([a, np.eye(m), b[:, None]])
     cost = np.concatenate([c, np.zeros(m + 1)])
     basis = np.arange(n, n + m, dtype=np.int64)
+    unbounded = np.zeros(n + m, dtype=bool)
+    if free is not None:
+        unbounded[:n] = free
+    locked = np.zeros(m, dtype=bool)
+    sign = np.ones(n)
     pivots = 0
     while True:
-        negative = np.nonzero(cost[:-1] < -tol)[0]
+        pricing = np.where(unbounded, -np.abs(cost[:-1]), cost[:-1])
+        negative = np.nonzero(pricing < -tol)[0]
         if negative.size == 0:
             status = "optimal"
             break
         if pivots >= max_pivots:
             status = "pivot-limit"
             break
-        enter = int(negative[np.argmin(cost[negative])])
+        enter = int(negative[np.argmin(pricing[negative])])
+        if unbounded[enter] and cost[enter] > 0.0:
+            tableau[:, enter] = 0.0 - tableau[:, enter]
+            cost[enter] = 0.0 - cost[enter]
+            sign[enter] = -sign[enter]
         col = tableau[:, enter]
-        positive = col > tol
+        positive = (col > tol) & ~locked
         if not positive.any():
             return "unbounded", None, None, pivots, None
         ratios = np.full(m, np.inf)
@@ -379,8 +392,11 @@ def simplex_full_tableau(c, a, b, max_pivots=100_000, tol=1e-9):
         tableau[row, enter] = 1.0
         cost[enter] = 0.0
         basis[row] = enter
+        if unbounded[enter]:
+            locked[row] = True
         pivots += 1
     full = np.zeros(n + m)
     full[basis] = tableau[:, -1]
     x = full[:n]
+    x[sign < 0.0] = -x[sign < 0.0]
     return status, x, float(c @ x), pivots, -cost[n:n + m]

@@ -122,27 +122,52 @@ def _dual_lp(inst):
     return lp.b_ub, -lp.a_ub.T, lp.c
 
 
-def _exact_grid_lps():
+def _exact_grid_instances():
     # the 40 trials of the 128x64, k = s = 4 grid at seed 14142
-    return [_dual_lp(make_instance(128, 64, 4, {"kind": "sparse", "s": 4, "scale": 1.0},
-                                   {"kind": "sparse", "amplitude": "gaussian"},
-                                   RngSpec(14142).child(0).child(trial)))
+    return [make_instance(128, 64, 4, {"kind": "sparse", "s": 4, "scale": 1.0},
+                          {"kind": "sparse", "amplitude": "gaussian"},
+                          RngSpec(14142).child(0).child(trial))
             for trial in range(40)]
 
 
-def _criterion_1_lps(count):
+def _criterion_1_instances(count):
     # the first `count` instances of the criterion-1 set
-    lps = []
+    instances = []
     for i in range(count):
         st = Stream(RngSpec(31415, i))
         n = 5 + st.integer_below(36)
         m = 5 + st.integer_below(36)
         k = 1 + st.integer_below(min(5, n))
         s = 1 + st.integer_below(max(1, m // 4))
-        lps.append(_dual_lp(make_instance(n, m, k, {"kind": "sparse", "s": s, "scale": 1.0},
-                                          {"kind": "sparse", "amplitude": "gaussian"},
-                                          RngSpec(27182, i))))
-    return lps
+        instances.append(make_instance(n, m, k, {"kind": "sparse", "s": s, "scale": 1.0},
+                                       {"kind": "sparse", "amplitude": "gaussian"},
+                                       RngSpec(27182, i)))
+    return instances
+
+
+def _exact_grid_lps():
+    return [_dual_lp(inst) for inst in _exact_grid_instances()]
+
+
+def _criterion_1_lps(count):
+    return [_dual_lp(inst) for inst in _criterion_1_instances(count)]
+
+
+def _free_dual_lp(inst):
+    """The LP that solver.solve_lp_exact hands the simplex (the dual with
+    its residual multiplier free), copied as (c, a, b, free)."""
+    seen = []
+    solve_canonical = simplex.solve_canonical
+
+    def recording(c, a, b, max_pivots, free):
+        seen.append((np.array(c), np.array(a), np.array(b), np.array(free)))
+        return solve_canonical(c, a, b, max_pivots=max_pivots, free=free)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplex, "solve_canonical", recording)
+        solver.solve_lp_exact(solver.lp_formulate(inst.phi, inst.y, inst.epsilon))
+    [lp] = seen
+    return lp
 
 
 def _bytes(value):
@@ -171,6 +196,25 @@ class TestSameAsFullTableau:
         for lp in _criterion_1_lps(20):
             assert _assert_same_as_full_tableau(*lp).status == simplex.OPTIMAL
 
+    def test_exact_grid_lps_with_free_columns(self):
+        # the LPs that solve_lp_exact solves on the `exact` workload
+        pivots = []
+        for inst in _exact_grid_instances():
+            c, a, b, free = _free_dual_lp(inst)
+            pivots.append(_assert_same_as_full_tableau(c, a, b, free=free).pivots)
+        assert sum(pivots) == 1561 and max(pivots) == 79
+
+    def test_criterion_1_lps_with_free_columns(self):
+        for inst in _criterion_1_instances(20):
+            c, a, b, free = _free_dual_lp(inst)
+            assert _assert_same_as_full_tableau(c, a, b, free=free).status == simplex.OPTIMAL
+
+    def test_random_lps_with_free_columns(self):
+        stream = Stream(RngSpec(606))
+        for _ in range(60):
+            c, a, b, free = _free_lp(stream)
+            _assert_same_as_full_tableau(c, a, b, free=free)
+
     def test_capped_solve(self):
         res = _assert_same_as_full_tableau(*_exact_grid_lps()[0], max_pivots=5)
         assert (res.status, res.pivots) == (simplex.PIVOT_LIMIT, 5)
@@ -196,6 +240,53 @@ class TestSameAsFullTableau:
             _assert_same_as_full_tableau(c[perm], a[:, perm], b)
 
 
+class TestTies:
+    """Each tie branch of the pivot loop, forced by a small LP; the
+    branches run only when a count finds a tie."""
+
+    def test_pricing_tie_to_the_smaller_variable_in_a_later_slot(self):
+        # min -x1 - x2 - x3 s.t. 2 x1 - x3 <= 2, 2 x1 + x2 + x3 <= 2.
+        # Before the third pivot slot 0 holds the slack s1 (variable 3)
+        # and slot 1 holds x2 (variable 1), both at reduced cost -0.25:
+        # x2 enters, and a fourth pivot ends at x = (0, 2, 0).  Taking the
+        # first slot lets s1 enter and ends at (0, 0, 2) after three.
+        res = _assert_same_as_full_tableau([-1.0, -1.0, -1.0],
+                                           [[2.0, 0.0, -1.0], [2.0, 1.0, 1.0]], [2.0, 2.0])
+        assert (res.status, res.pivots) == (simplex.OPTIMAL, 4)
+        assert _bytes(res.x) == _bytes([0.0, 2.0, 0.0])
+
+    def test_ratio_tie_within_tolerance_to_the_larger_element(self):
+        # min -x s.t. x <= 1, 2 x <= 2 + 2^-40: the ratios 1 and 1 + 2^-41
+        # tie within 1e-9, and row 1 holds the larger pivot element, so x
+        # ends at 1 + 2^-41 rather than at the smaller ratio's 1
+        res = _assert_same_as_full_tableau([-1.0], [[1.0], [2.0]], [1.0, 2.0 + 2.0 ** -40])
+        assert (res.status, res.pivots) == (simplex.OPTIMAL, 1)
+        assert _bytes(res.x) == _bytes([1.0 + 2.0 ** -41])
+
+    def test_ratio_tie_leaves_a_locked_row_out(self):
+        # min -3 x1 - 2 x2 s.t. x1 + x2 / 2 <= 1, x2 / 4 <= 1 / 2,
+        # 0.4 x2 <= 0.8 + 1e-12, x1 free.  x1 enters on row 0, which is
+        # then locked; x2's ratios are 2 on all three rows (within 1e-9),
+        # and row 0 holds the largest element.  Row 2 leaves: the
+        # larger element of the two unlocked rows, past row 1's
+        # smaller ratio.
+        rows = []
+        pivot = simplex._pivot
+
+        def recording_pivot(table, basis, nonbasic, row, col, work):
+            rows.append(row)
+            pivot(table, basis, nonbasic, row, col, work)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simplex, "_pivot", recording_pivot)
+            res = _assert_same_as_full_tableau(
+                [-3.0, -2.0], [[1.0, 0.5], [0.0, 0.25], [0.0, 0.4]], [1.0, 0.5, 0.8 + 1e-12],
+                free=[True, False])
+        assert (res.status, rows) == (simplex.OPTIMAL, [0, 2])
+        x2 = (0.8 + 1e-12) / 0.4
+        assert _bytes(res.x) == _bytes([1.0 - 0.5 * x2, x2])
+
+
 def _signed_zero_lp(stream, m, n):
     """A small LP whose data holds many exact zeros, half of them -0.0."""
     a = np.round(stream.normal(m * n)).reshape(m, n)
@@ -207,19 +298,17 @@ def _signed_zero_lp(stream, m, n):
     return c, a, b
 
 
-def _outer_pivot(tableau, cost, row, col):
-    """The compact pivot with its rank-1 update by np.outer, which keeps
-    the sign of every zero product."""
-    piv = tableau[row, col]
-    factors = tableau[:, col].copy()
+def _outer_pivot(table, row, col):
+    """The compact pivot, on a table whose last row holds the reduced
+    costs, with its rank-1 update by np.outer, which keeps the sign of
+    every zero product."""
+    piv = table[row, col]
+    factors = table[:, col].copy()
     factors[row] = 0.0
-    tableau[:, col] = 0.0
-    tableau[row, col] = 1.0
-    tableau[row] /= piv
-    tableau -= np.outer(factors, tableau[row])
-    entering = cost[col]
-    cost[col] = 0.0
-    cost -= entering * tableau[row]
+    table[:, col] = 0.0
+    table[row, col] = 1.0
+    table[row] /= piv
+    table -= np.outer(factors, table[row])
 
 
 def _flip_zero_signs(values):
@@ -228,8 +317,8 @@ def _flip_zero_signs(values):
 
 
 class TestSignedZeros:
-    """The BLAS update returns +0.0 for a -0.0 product; the tableau is
-    built without -0.0, and a pivot keeps it so."""
+    """The BLAS update returns +0.0 for a -0.0 product; the table, its
+    cost row included, is built without -0.0, and a pivot keeps it so."""
 
     def test_lps_with_negative_zero_data(self):
         stream = Stream(RngSpec(404))
@@ -240,13 +329,16 @@ class TestSignedZeros:
     def test_sign_of_a_zero_in_a_and_b_changes_no_result(self, monkeypatch):
         # c is left as it is: a zero objective over all-zero products
         # can carry the sign of the cost zeros.  Every pivot starts and
-        # ends on a tableau without -0.0.
+        # ends on a table without -0.0, cost row included, and its
+        # entering column holds none.
         pivot = simplex._pivot
 
-        def checked_pivot(tableau, *args):
-            assert not np.signbit(tableau[tableau == 0.0]).any()
-            pivot(tableau, *args)
-            assert not np.signbit(tableau[tableau == 0.0]).any()
+        def checked_pivot(table, *args):
+            column = args[-1].factors[:, 0]
+            assert not np.signbit(table[table == 0.0]).any()
+            assert not np.signbit(column[column == 0.0]).any()
+            pivot(table, *args)
+            assert not np.signbit(table[table == 0.0]).any()
 
         monkeypatch.setattr(simplex, "_pivot", checked_pivot)
         stream = Stream(RngSpec(404))
@@ -261,29 +353,28 @@ class TestSignedZeros:
 
     def test_every_entry_after_every_pivot(self):
         # any pivot element of size >= 0.5, either sign; a third of the
-        # entries scaled by 1e-160, so that their products underflow.
-        # The tableau starts as solve_canonical builds it, without -0.0;
-        # the cost row keeps the data's -0.0.
+        # constraint entries scaled by 1e-160, so that their products
+        # underflow.  The table starts as solve_canonical builds it, its
+        # cost row last and without -0.0.
         stream = Stream(RngSpec(405))
         for case in range(120):
             m, n = 2 + stream.integer_below(6), 2 + stream.integer_below(6)
             c, a, b = _signed_zero_lp(stream, m, n)
-            tableau = np.column_stack([a, b])
-            tableau[stream.normal(m * (n + 1)).reshape(m, n + 1) > 0.4] *= 1e-160
-            tableau += 0.0
-            cost = np.append(c, 0.0)
-            reference, reference_cost = tableau.copy(), cost.copy()
-            work = simplex._Work(tableau)
+            table = np.vstack([np.column_stack([a, b]), np.append(c, 0.0)])
+            table[:m][stream.normal(m * (n + 1)).reshape(m, n + 1) > 0.4] *= 1e-160
+            table += 0.0
+            reference = table.copy()
+            work = simplex._Work(table)
             basis, nonbasic = np.arange(n, n + m), np.arange(n)
             for _ in range(4):
-                candidates = np.argwhere(np.abs(reference[:, :-1]) >= 0.5)
+                candidates = np.argwhere(np.abs(reference[:m, :-1]) >= 0.5)
                 if not len(candidates):
                     break
                 row, col = candidates[stream.integer_below(len(candidates))]
-                _outer_pivot(reference, reference_cost, row, col)
-                simplex._pivot(tableau, cost, basis, nonbasic, row, col, work)
-                assert tableau.tobytes() == reference.tobytes(), case
-                assert cost.tobytes() == reference_cost.tobytes(), case
+                _outer_pivot(reference, row, col)
+                work.factors[:, 0] = table[:, col]
+                simplex._pivot(table, basis, nonbasic, row, col, work)
+                assert table.tobytes() == reference.tobytes(), case
 
 
 class TestEmptyDimensions:
@@ -353,22 +444,24 @@ class TestFreeColumns:
 
     def test_positive_reduced_cost_flips_the_column(self, monkeypatch):
         # min 3 x1 - x2 s.t. -x1 <= 1, x2 <= 1, both free: x1 prices at -3
-        # and enters first, negated, so that it can decrease to -1; without
-        # the flip its column holds no positive entry.  The flip makes no
-        # -0.0 of the column's zero.
+        # and enters first, negated with its reduced cost, so that it can
+        # decrease to -1; without the flip its column holds no positive
+        # entry.  The flip makes no -0.0 of the column's zero.
         pivot = simplex._pivot
         entering = []
 
-        def checked_pivot(tableau, cost, basis, nonbasic, row, col, work):
-            assert not np.signbit(tableau[tableau == 0.0]).any()
-            entering.append((int(nonbasic[col]), tableau[:, col].tolist()))
-            pivot(tableau, cost, basis, nonbasic, row, col, work)
+        def checked_pivot(table, basis, nonbasic, row, col, work):
+            column = work.factors[:, 0]
+            assert not np.signbit(table[table == 0.0]).any()
+            assert not np.signbit(column[column == 0.0]).any()
+            entering.append((int(nonbasic[col]), column.tolist()))
+            pivot(table, basis, nonbasic, row, col, work)
 
         monkeypatch.setattr(simplex, "_pivot", checked_pivot)
         res = simplex.solve_canonical([3.0, -1.0], [[-1.0, 0.0], [0.0, 1.0]], [1.0, 1.0],
                                       free=[True, True])
         assert (res.status, res.pivots) == (simplex.OPTIMAL, 2)
-        assert entering == [(0, [1.0, 0.0]), (1, [0.0, 1.0])]
+        assert entering == [(0, [1.0, 0.0, -3.0]), (1, [0.0, 1.0, -1.0])]
         assert _bytes(res.x) == _bytes([-1.0, 1.0])
         assert res.objective == -4.0
 
@@ -392,9 +485,9 @@ class TestFreeColumns:
         pivot = simplex._pivot
         rows = []
 
-        def recording_pivot(tableau, cost, basis, nonbasic, row, col, work):
+        def recording_pivot(table, basis, nonbasic, row, col, work):
             rows.append(row)
-            pivot(tableau, cost, basis, nonbasic, row, col, work)
+            pivot(table, basis, nonbasic, row, col, work)
 
         monkeypatch.setattr(simplex, "_pivot", recording_pivot)
         res = simplex.solve_canonical([-3.0, -2.0], [[1.0, 0.5], [0.0, 1.0]], [1.0, 4.0],

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sl1 import core, simplex, solver
+from sl1 import analysis, core, simplex, solver
 from sl1.cli import main
 from sl1.generators import load_bundle, make_instance
 from sl1.rng import RngSpec, Stream
@@ -167,6 +167,80 @@ class TestLpFormulation:
             solver.lp_formulate(np.eye(2), [1.0, 2.0, 3.0], 0.1)
         with pytest.raises(ValueError):
             solver.lp_formulate(np.eye(2), [1.0, 2.0], -0.1)
+
+
+class TestLazyPrimal:
+    """lp_formulate's c, a_ub and b_ub are built on first read; no exact
+    solve reads them, and a later read gives the docstring's formula."""
+
+    PRIMAL = ("c", "a_ub", "b_ub")
+
+    @staticmethod
+    def _formula(lp):
+        phi, y = lp.phi, lp.y
+        m, n = phi.shape
+        eye, zeros = np.eye(m), np.zeros((1, n))
+        return (np.concatenate([np.ones(2 * n), np.zeros(m)]),
+                np.block([[-phi, phi, -eye], [phi, -phi, -eye], [zeros, zeros, np.ones((1, m))]]),
+                np.concatenate([-y, y, [lp.epsilon]]))
+
+    @staticmethod
+    def _recording(monkeypatch):
+        lps = []
+        formulate = solver.lp_formulate
+
+        def recording(*args):
+            lps.append(formulate(*args))
+            return lps[-1]
+
+        monkeypatch.setattr(solver, "lp_formulate", recording)
+        return lps
+
+    def _assert_unbuilt_then_formula(self, lps):
+        assert lps
+        for lp in lps:
+            assert not set(self.PRIMAL) & vars(lp).keys()
+            for name, expected in zip(self.PRIMAL, self._formula(lp)):
+                assert getattr(lp, name).tobytes() == expected.tobytes(), name
+                assert getattr(lp, name).shape == expected.shape, name
+            lp.c = lp.a_ub = lp.b_ub = None
+            assert (lp.c, lp.a_ub, lp.b_ub) == (None, None, None)
+
+    def test_solve_lp_exact(self):
+        inst = _random_instance(5)
+        lp = solver.lp_formulate(inst.phi, inst.y, inst.epsilon)
+        assert solver.solve_lp_exact(lp).is_usable()
+        self._assert_unbuilt_then_formula([lp])
+
+    def test_solve_and_run_trial(self, monkeypatch):
+        lps = self._recording(monkeypatch)
+        inst = _random_instance(6)
+        config = solver.SolverConfig(method=solver.METHOD_LP)
+        assert solver.solve(inst.phi, inst.y, inst.epsilon, config).is_usable()
+        trial = analysis.run_trial(24, 12, 2, 2, RngSpec(7), config=config)
+        assert trial.status == "optimal"
+        assert len(lps) == 2
+        self._assert_unbuilt_then_formula(lps)
+
+    def test_restricted_lp_of_the_first_order_finish(self, monkeypatch, tmp_path):
+        # the bundle of the CI fallback replay: 90 iterations, one
+        # restricted LP
+        bundle = str(tmp_path / "fallback")
+        assert main(["gen", "--out", bundle, "--n", "24", "--m", "32", "--k", "2",
+                     "--noise", "sparse", "--s", "3", "--seed", "10",
+                     "--amplitude", "uniform:0.5:1.0"]) == 0
+        inst = load_bundle(bundle)
+        lps = self._recording(monkeypatch)
+        res = solver.solve_first_order(inst.phi, inst.y, inst.epsilon)
+        assert res.status == "optimal" and res.certificate["restricted_lps"] >= 1
+        assert len(lps) == res.certificate["restricted_lps"]
+        self._assert_unbuilt_then_formula(lps)
+
+    def test_assignment_before_a_read(self):
+        lp = solver.lp_formulate(np.eye(2), [1.0, 2.0], 0.5)
+        lp.a_ub = None
+        assert lp.a_ub is None
+        assert lp.c.tobytes() == self._formula(lp)[0].tobytes()
 
 
 class TestLpExact:
