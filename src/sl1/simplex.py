@@ -191,32 +191,11 @@ def _iterate(table, basis, nonbasic, max_pivots, free):
             sign[enter] = 1.0
 
 
-def canonical_table(m: int, n: int):
-    """Views (c, a, b) of a zeroed (m + 1) x (n + 1) table laid out as
-    solve_canonical pivots it.  solve_canonical solves LP data written
-    into them in place, with no copy of the table (it copies c alone,
-    for the objective), and so overwrites it."""
-    table = np.zeros((m + 1, n + 1))
-    return table[m, :n], table[:m, :n], table[:m, n]
-
-
-def _own_table(c, a, b):
-    """The table of canonical_table that c, a and b view, or None."""
-    table = a.base
-    m, n = a.shape
-    if table is None or table.shape != (m + 1, n + 1):
-        return None
-    views = ((c, table[m, :n]), (a, table[:m, :n]), (b, table[:m, n]))
-    if all(v.__array_interface__ == w.__array_interface__ for v, w in views):
-        return table
-    return None
-
-
 def solve_canonical(c, a, b, max_pivots: int = 100_000, free=None) -> SimplexResult:
     """Solve the LP of the module docstring; `free` (a boolean mask over
     the n columns; None for none) marks the variables without the bound
-    x >= 0.  When c, a and b are the views of canonical_table, their
-    table is pivoted in place; otherwise the data is copied into one."""
+    x >= 0.  The data is copied into the table; the inputs are left
+    unchanged."""
     c = np.asarray(c, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -225,15 +204,13 @@ def solve_canonical(c, a, b, max_pivots: int = 100_000, free=None) -> SimplexRes
     m, n = a.shape
     if c.shape != (n,) or b.shape != (m,):
         raise ValueError("objective/rhs shapes do not match the constraint matrix")
-    table = _own_table(c, a, b)
-    if table is None:
-        # Variables n..n+m-1 are the slacks, basic at the origin, where
-        # the reduced costs are c.  The table is row-major whatever the
-        # layout of `a`, since every pivot updates it by rows.
-        table = np.zeros((m + 1, n + 1))
-        table[:m, :n] = a
-        table[:m, n] = b
-        table[m, :n] = c
+    # Variables n..n+m-1 are the slacks, basic at the origin, where the
+    # reduced costs are c.  The table is row-major whatever the layout of
+    # `a`, since every pivot updates it by rows.
+    table = np.zeros((m + 1, n + 1))
+    table[:m, :n] = a
+    table[:m, n] = b
+    table[m, :n] = c
     if not np.isfinite(table).all():
         raise ValueError("LP data must be finite")
     if np.any(b < 0):
@@ -244,7 +221,6 @@ def solve_canonical(c, a, b, max_pivots: int = 100_000, free=None) -> SimplexRes
 
     # the objective reads c as given, -0.0 and all; the table holds no
     # -0.0 (see ``_pivot``)
-    c = table[m, :n].copy()
     table += 0.0
     basis = np.arange(n, n + m, dtype=np.int64)
     nonbasic = np.arange(n, dtype=np.int64)

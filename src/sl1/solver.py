@@ -5,9 +5,8 @@
 Two routes share one result contract: an exact reduction to a linear
 program, whose dual the built-in simplex method solves from the origin
 with the residual multiplier as free columns (the reference oracle for
-small problems; see solve_lp_exact: the dual is written straight into
-the simplex table, and the dense primal LP of lp_formulate is built
-only when an outside solver reads it), and a restarted primal-dual
+small problems; see solve_lp_exact: the dense primal LP of lp_formulate
+is built only when an outside solver reads it), and a restarted primal-dual
 hybrid gradient scheme with a primal weight (the scalable path).  The
 program is a sharp LP, on which restarting PDHG from its current
 iterate converges linearly (Applegate, Hinder, Lu, Lubin, Math. Prog.
@@ -249,15 +248,14 @@ def solve_lp_exact(lp: LpProblem, config: SolverConfig = None) -> SolverResult:
               lam >= 0.
 
     Its right-hand side (1, 0) is nonnegative, so the built-in simplex
-    method starts it feasible at the origin.  The data is written
-    straight into the simplex's (2n + 2m + 1) x (m + 2) table (the cost
-    row last; simplex.canonical_table), which is pivoted in place.  Only
-    phi, y and epsilon of `lp` are read.  The primal u comes back from
-    the duals of the first 2n rows (u+ and u-), and the certificate keeps
-    the duals of lp_formulate's 2m + 1 rows: -(max(w, 0), max(-w, 0),
-    lam).  An unbounded dual means the residual ball is out of reach
-    ("infeasible-detected"); a solve capped at 10 * max_iters pivots
-    carries no iterate ("iteration-limit").
+    method starts it feasible at the origin, on a (2n + 2m + 1) x (m + 2)
+    table (the cost row last).  Only phi, y and epsilon of `lp` are
+    read.  The primal u comes back from the duals of the first 2n rows
+    (u+ and u-), and the certificate keeps the duals of lp_formulate's
+    2m + 1 rows: -(max(w, 0), max(-w, 0), lam).  An unbounded dual means
+    the residual ball is out of reach ("infeasible-detected"); a solve
+    capped at 10 * max_iters pivots carries no iterate
+    ("iteration-limit").
 
     The simplex tolerances are absolute, so the LP is solved with phi
     divided by the power of two s_phi that puts max|phi_ij| in [1, 2) and
@@ -269,7 +267,7 @@ def solve_lp_exact(lp: LpProblem, config: SolverConfig = None) -> SolverResult:
     m, n = lp.phi.shape
     s_phi = _power_of_two_below(float(abs(lp.phi).max()))
     s_y = _power_of_two_below(core.norm_lp(lp.y, 1))
-    dual_c, dual_a, dual_b = simplex.canonical_table(2 * n + 2 * m, m + 1)
+    dual_a = np.zeros((2 * n + 2 * m, m + 1))
     phit = dual_a[:n, :m]
     np.divide(lp.phi.T, s_phi, out=phit)
     np.negative(phit, out=dual_a[n:2 * n, :m])
@@ -277,9 +275,8 @@ def solve_lp_exact(lp: LpProblem, config: SolverConfig = None) -> SolverResult:
     dual_a[2 * n + diagonal, diagonal] = 1.0
     dual_a[2 * n + m + diagonal, diagonal] = -1.0
     dual_a[2 * n:, m] = -1.0
-    dual_b[:2 * n] = 1.0
-    np.divide(-lp.y, s_y, out=dual_c[:m])
-    dual_c[m] = lp.epsilon / s_y
+    dual_b = np.concatenate([np.ones(2 * n), np.zeros(2 * m)])
+    dual_c = np.append(-lp.y / s_y, lp.epsilon / s_y)
     res = simplex.solve_canonical(dual_c, dual_a, dual_b, max_pivots=cfg.max_iters * 10,
                                   free=np.arange(m + 1) < m)
     if res.status != simplex.OPTIMAL:

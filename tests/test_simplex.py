@@ -115,6 +115,44 @@ def test_rejects_non_finite_data(where, value):
         simplex.solve_canonical(data["c"], data["a"], data["b"])
 
 
+class TestInputsUnchanged:
+    """solve_canonical pivots a copy: the caller's arrays keep every byte,
+    -0.0 entries included, and a second solve on them gives the same
+    result."""
+
+    @staticmethod
+    def _table():
+        rng = np.random.default_rng(3)
+        table = np.zeros((7, 6))
+        table[:6, :5] = np.round(rng.standard_normal((6, 5)), 1)
+        table[:6, 5] = np.round(rng.uniform(0.0, 2.0, 6), 1)
+        table[6, :5] = np.round(rng.standard_normal(5), 1)
+        table[0, 0] = table[6, 1] = table[2, 5] = -0.0
+        return table
+
+    def _check(self, c, a, b, free=None):
+        before = [x.copy() for x in (c, a, b)]
+        first = simplex.solve_canonical(c, a, b, free=free)
+        assert first.status == simplex.OPTIMAL and first.pivots > 0
+        for x, y in zip((c, a, b), before):
+            assert x.tobytes() == y.tobytes()
+        second = simplex.solve_canonical(c, a, b, free=free)
+        assert second.pivots == first.pivots
+        assert second.x.tobytes() == first.x.tobytes()
+        assert second.duals.tobytes() == first.duals.tobytes()
+
+    def test_separate_arrays(self):
+        table = self._table()
+        self._check(table[6, :5].copy(), table[:6, :5].copy(), table[:6, 5].copy())
+
+    def test_views_of_one_table(self):
+        # c, a and b laid out as the table [a b; c 0] that the simplex pivots
+        table = self._table()
+        before = table.copy()
+        self._check(table[6, :5], table[:6, :5], table[:6, 5], free=[True, False, True, False, False])
+        assert table.tobytes() == before.tobytes()
+
+
 def _dual_lp(inst):
     """The dual of the LP reduction with its residual multiplier split in
     two nonnegative parts, all columns bounded: a large, degenerate LP."""
