@@ -399,6 +399,33 @@ class TestConditions:
         assert [self._part_digest(data, "cross_search") for data in outputs] == self.CROSS_SEARCH
         assert [hashlib.sha256(data).hexdigest()[:16] for data in outputs] == self.K3_FILES
 
+    # sha256 prefixes of the JSON on the benchmark's two 400x8 toy matrices
+    # (k = 1, exhaustive): the exact arc sweeps' witness coefficients.
+    K1_FILES = ["64dc7beea6970482", "6b819898024f958a"]
+
+    @staticmethod
+    def _k1_bench_outputs(tmp_path, monkeypatch):
+        from sl1.generators import make_instance
+        from sl1.rng import RngSpec
+        monkeypatch.chdir(tmp_path)
+        for t in range(2):
+            toy = make_instance(8, 400, 1, {"kind": "sparse", "s": 40, "scale": 1.0},
+                                {"kind": "sparse", "amplitude": "gaussian"}, RngSpec(60221, t))
+            matio.write_matrix_bin(f"toy{t}.bin", toy.phi)
+            assert main(["conditions", "--matrix", f"toy{t}.bin", "--k", "1",
+                         "--seed", "60222", "--stream", str(t), "--out", f"toy{t}.json"]) == 0
+            yield (tmp_path / f"toy{t}.json").read_bytes()
+
+    def test_k1_exhaustive_files_pinned(self, tmp_path, monkeypatch):
+        outputs = self._k1_bench_outputs(tmp_path, monkeypatch)
+        assert [hashlib.sha256(data).hexdigest()[:16] for data in outputs] == self.K1_FILES
+
+    def test_k1_output_independent_of_block_size(self, tmp_path, monkeypatch):
+        from sl1 import conditions
+        default = list(self._k1_bench_outputs(tmp_path, monkeypatch))
+        monkeypatch.setattr(conditions, "BLOCK", 1)
+        assert list(self._k1_bench_outputs(tmp_path, monkeypatch)) == default
+
     def test_k3_output_independent_of_block_size(self, tmp_path, monkeypatch):
         from sl1 import conditions
         default = list(self._k3_bench_outputs(tmp_path, monkeypatch))
