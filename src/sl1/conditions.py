@@ -24,7 +24,15 @@ form, so an exhaustive "satisfied" verdict at k = 1 is a proof.  At
 k >= 2 the per-support maximization is a multi-start ascent heuristic,
 and "satisfied" certifies the support enumeration with that caveat.
 There every (support or pair, start) climbs as a lane of one batched
-ascent (_ascend), BLOCK items at a time.
+ascent (_ascend), BLOCK items at a time.  The lanes keep their
+coordinates on the leading axis of (coordinate, item, lane) arrays, and
+the norm search writes |phi_S z| to a (row, item, lane) buffer, so every
+sum over a lane's coordinates or rows runs along a leading axis, adding
+in the order one lane alone would.  At k = 1 one arc sweep
+(_circle_arcs) serves a block of supports: their breakpoints are
+sorted, rolled and summed along the rows of (support, breakpoint)
+arrays, and only each support's two small products (its signs at the
+sweep's start and their sums) run one support at a time.
 """
 
 import itertools
@@ -142,12 +150,21 @@ class SearchPart:
 # Items (supports or pairs) climbed per batch: it bounds the batch
 # arrays whatever the enumeration size, and no result depends on it.
 BLOCK = 64
+# Floats per array of one k = 1 arc sweep (supports x 2M breakpoints x
+# columns summed): at most BLOCK supports, fewer where M or the columns
+# are large, which keeps the sweep's arrays small; no result depends on it.
+SWEEP_FLOATS = 1 << 15
 
 
-def _blocks(items):
+def _blocks(items, size=None):
     items = iter(items)
-    while block := list(itertools.islice(items, BLOCK)):
+    while block := list(itertools.islice(items, size or BLOCK)):
         yield block
+
+
+def _sweep_size(m, cols):
+    """Supports per k = 1 sweep of M rows and `cols` summed columns."""
+    return max(1, min(BLOCK, SWEEP_FLOATS // (2 * m * cols)))
 
 
 def _stacked(phi, sets):
@@ -157,59 +174,79 @@ def _stacked(phi, sets):
 
 
 def _unit(z):
-    return z / np.sqrt(np.sum(z * z, axis=1, keepdims=True))
+    """z scaled to unit norm over its leading (coordinate) axis."""
+    return z / np.sqrt(np.sum(z * z, axis=0))
 
 
 def _ascend(objective, propose, z, steps):
-    """Hill-climb every lane z[i, :, j] over the unit sphere at once.
+    """Hill-climb every lane z[:, i, j] over the unit sphere at once.
 
-    objective(z) -> (score, state) and propose(t, z, state, eta) -> (step
-    t's candidates, lanes that can still move).  A lane keeps a candidate
-    only if its score rises strictly (eta grows by 1.3, to at most 1),
-    else halves eta; it stops when it cannot move or eta < 1e-9.  A start
-    with squared norm below 1e-24 becomes all ones.
-    Returns (z, score, state, evaluations) per lane."""
-    z = _unit(np.where(np.sum(z * z, axis=1, keepdims=True) >= 1e-24, z, 1.0))
-    val, state = objective(z)
+    z is laid out (coordinate, item, lane), so each sum over a lane's
+    coordinates runs along the leading axis.  objective(z) -> score and
+    propose(t, z, eta) -> (step t's candidates, lanes that can still
+    move).  A lane keeps a candidate only if its score rises strictly
+    (eta grows by 1.3, to at most 1), else halves eta; it stops when it
+    cannot move or eta < 1e-9.  A start with squared norm below 1e-24
+    becomes all ones.
+    Returns (z, score, evaluations) per lane."""
+    z = _unit(np.where(np.sum(z * z, axis=0) >= 1e-24, z, 1.0))
+    val = objective(z)
     eta = np.full(val.shape, 0.5)
     evals = np.ones(val.shape, dtype=np.int64)
     live = np.ones(val.shape, dtype=bool)
     for t in range(steps):
-        cand, movable = propose(t, z, state, eta)
+        cand, movable = propose(t, z, eta)
         live &= movable
         if not live.any():
             break
-        cval, cstate = objective(cand)
+        cval = objective(cand)
         evals += live
         up = live & (cval > val)
         down = live & ~up
-        z = np.where(up[:, None], cand, z)
-        state = np.where(up[:, None], cstate, state)
+        z = np.where(up, cand, z)
         val = np.where(up, cval, val)
         eta = np.where(up, np.minimum(eta * 1.3, 1.0), np.where(down, eta * 0.5, eta))
         live &= ~(down & (eta < 1e-9))
-    return z, val, state, evals
+    return z, val, evals
+
+
+def _coordinates_first(z):
+    """An (item, coordinate, lane) array as a (coordinate, item, lane) one."""
+    return np.ascontiguousarray(z.transpose(1, 0, 2))
 
 
 def _norm_lanes(b, nu, z0, directions, steps):
     """Climb directions[j] * ((1/M)||b[i] z||_1 - nu), b[i] = phi[:, S_i],
     from every start z0[i, :, j] by normalised projected-gradient steps.
-    Returns (z, |objective|, evaluations) per lane."""
-    m = b.shape[1]
+    The objective writes |b @ z| to a (row, item, lane) buffer, so its
+    sum over the M rows runs along the leading axis, in row order;
+    propose recomputes b @ z rather than carrying it from step to step,
+    and takes its signs into the same buffer, laid out by item.
+    Returns (z, |objective|, evaluations) per lane, z as (item,
+    coordinate, lane)."""
+    items, m, width = b.shape
+    work = np.empty(items * m * z0.shape[2])
+    rows_first = work.reshape(m, items, -1)  # |b z|
+    signs = work.reshape(items, m, -1)       # sign(b z)
+    bz = np.empty_like(signs)
+    slope = np.empty((width, items, z0.shape[2]))  # b^T sign(b z)
 
     def objective(z):
-        bz = b @ z
-        return directions * (np.sum(np.abs(bz), axis=1) / m - nu), bz
+        np.matmul(b, z.transpose(1, 0, 2), out=rows_first.transpose(1, 0, 2))
+        return directions * (np.abs(rows_first, out=rows_first).sum(axis=0) / m - nu)
 
-    def propose(t, z, bz, eta):
-        grad = directions * (b.transpose(0, 2, 1) @ np.sign(bz)) / m
-        grad -= np.sum(grad * z, axis=1, keepdims=True) * z
-        gnorm = np.sqrt(np.sum(grad * grad, axis=1))
+    def propose(t, z, eta):
+        # out of place: np.sign in place takes several times as long
+        np.sign(np.matmul(b, z.transpose(1, 0, 2), out=bz), out=signs)
+        np.matmul(b.transpose(0, 2, 1), signs, out=slope.transpose(1, 0, 2))
+        grad = directions * slope / m
+        grad -= np.sum(grad * z, axis=0) * z
+        gnorm = np.sqrt(np.sum(grad * grad, axis=0))
         movable = gnorm >= 1e-14
-        return _unit(z + (eta / np.where(movable, gnorm, 1.0))[:, None] * grad), movable
+        return _unit(z + eta / np.where(movable, gnorm, 1.0) * grad), movable
 
-    z, score, _, evals = _ascend(objective, propose, z0, steps)
-    return z, np.abs(score), evals
+    z, score, evals = _ascend(objective, propose, _coordinates_first(z0), steps)
+    return z.transpose(1, 0, 2), np.abs(score), evals
 
 
 def _cross_lanes(bu, bv, sel, z0, directions):
@@ -218,25 +255,43 @@ def _cross_lanes(bu, bv, sel, z0, directions):
     bv[i] = phi[:, S_v], and sel[i, a, b] = 1 where S_v[a] = S_u[b].  For
     unit u = z on S_u the best unit v on S_v orthogonal to u is
     phi_Sv^T sign(phi_Su z) (sign(0) = -1) projected off u's part on
-    S_v, worth its norm / M.  Returns (z, value, unit v, evaluations)
-    per lane; value -inf marks a lane whose vector vanished (no witness)."""
-    m = bu.shape[1]
+    S_v, worth its norm / M; the climb scores that norm, and v itself is
+    formed once, at the lanes' final z.  Returns (z, value, unit v,
+    evaluations) per lane, z and v as (item, coordinate, lane); value
+    -inf marks a lane whose vector vanished (no witness)."""
+    items, m, _ = bu.shape
+    work = np.empty((items, m, z0.shape[2]))
+    positive = np.empty(work.shape, dtype=bool)
+    corr = np.empty((bv.shape[2], items, z0.shape[2]))  # phi_Sv^T sign(phi_Su z)
+    a = np.empty_like(corr)                             # u's part on S_v
+    step = np.empty((z0.shape[1],) + corr.shape[1:])
+    bvt = bv.transpose(0, 2, 1)
+
+    def project(z):
+        signs = np.matmul(bu, z.transpose(1, 0, 2), out=work)
+        np.multiply(np.greater(signs, 0.0, out=positive), 2.0, out=signs)
+        signs -= 1.0  # sign(bu z), sign(0) = -1
+        np.matmul(bvt, signs, out=corr.transpose(1, 0, 2))
+        np.matmul(sel, z.transpose(1, 0, 2), out=a.transpose(1, 0, 2))
+        a_sq = np.sum(a * a, axis=0)
+        a_sq[a_sq == 0.0] = 1.0  # a = 0 there: nothing to project off
+        c = corr
+        for _ in range(2):  # the second pass kills rounding residue
+            c = c - (np.sum(c * a, axis=0) / a_sq) * a
+        return c, np.sqrt(np.sum(c * c, axis=0))
 
     def objective(z):
-        c = bv.transpose(0, 2, 1) @ np.where(bu @ z > 0.0, 1.0, -1.0)
-        a = sel @ z
-        a_sq = np.sum(a * a, axis=1, keepdims=True)
-        a_sq[a_sq == 0.0] = 1.0  # a = 0 there: nothing to project off
-        for _ in range(2):  # the second pass kills rounding residue
-            c = c - (np.sum(c * a, axis=1, keepdims=True) / a_sq) * a
-        c_norm = np.sqrt(np.sum(c * c, axis=1))
-        found = c_norm >= 1e-14
-        return np.where(found, c_norm / m, -math.inf), c / np.where(found, c_norm, 1.0)[:, None]
+        c_norm = project(z)[1]
+        return np.where(c_norm >= 1e-14, c_norm / m, -math.inf)
 
-    def propose(t, z, v, eta):
-        return _unit(z + eta[:, None] * directions[:, t]), True
+    def propose(t, z, eta):
+        np.multiply(eta, directions[:, t].transpose(1, 0, 2), out=step)
+        return _unit(np.add(z, step, out=step)), True
 
-    return _ascend(objective, propose, z0, directions.shape[1])
+    z, val, evals = _ascend(objective, propose, _coordinates_first(z0), directions.shape[1])
+    c, c_norm = project(z)
+    v = c / np.where(c_norm >= 1e-14, c_norm, 1.0)
+    return z.transpose(1, 0, 2), val, v.transpose(1, 0, 2), evals
 
 
 def _search(blocks, climb):
@@ -257,15 +312,6 @@ def _search(blocks, climb):
     return best, evals, visited
 
 
-def _each(solve):
-    """Block climb of an exact solve(item) -> (value, candidate, evals)."""
-    def climb(block):
-        found = [solve(item) for item in block]
-        return (np.array([[f[0]] for f in found]), sum(f[2] for f in found),
-                lambda i, _: found[i][1])
-    return climb
-
-
 # Breakpoints closer than this (radians) count as one: no float witness
 # lands reliably inside a narrower arc, and rounding cannot tell two such
 # breakpoints from one.  A sign pattern that holds only on a narrower arc
@@ -274,98 +320,169 @@ ARC_MERGE = 1e-12
 
 
 def _circle_arcs(b, cols):
-    """Sign patterns s = sign(b z) over the unit circle z = (cos t, sin t)
-    for an M x 2 block b = phi[:, S_u], and the sums s @ cols on each.
+    """Sign patterns s = sign(b[i] z) over the unit circle z = (cos t, sin t)
+    for every M x 2 block b[i] = phi[:, S_i] of an (items, M, 2) stack,
+    and the sums s @ cols[i] on each, for all items in one sweep.
 
     Row r with b_r != 0 turns from + to - (counterclockwise) at
     atan2(b_r) + pi/2 and from - to + at atan2(b_r) - pi/2; a zero row
-    keeps sign(0) = -1 all round.  The signs are read once, in the middle
-    of the widest gap, and one cumsum of the flips -2 * old_sign * cols[r]
-    in sweep order gives the sums on every arc: O(M * cols) memory.
-    Breakpoints within ARC_MERGE merge.  Where rows turning both ways meet
-    at one breakpoint (rows of opposite signs along one line), that
-    breakpoint carries a pattern of its own, with each of those rows at
-    sign(0) = -1; such points come back too, each with a unit z at which
-    its leading row vanishes.
+    keeps sign(0) = -1 all round.  An item's signs are read once, in the
+    middle of its widest gap, and one cumsum of the flips
+    -2 * old_sign * cols[i, r] in sweep order gives the sums on every
+    arc: O(items * M * cols) memory.  Breakpoints within ARC_MERGE merge.
+    Where rows turning both ways meet at one breakpoint (rows of opposite
+    signs along one line), that breakpoint carries a pattern of its own,
+    with each of those rows at sign(0) = -1; such points come back too,
+    each with a unit z at which its leading row vanishes.  Two products
+    per item (b[i] @ z at the start, s @ cols[i]) run one item at a time.
 
-    Returns (lo, hi, arc_sums, point_z, point_sums): arc g spans
-    (lo[g], hi[g]) with lo[g] < hi[g] <= lo[g] + 2 pi.
+    Item i's 2 M_i breakpoints (M_i its nonzero rows) take slots 0 ..
+    2 M_i - 1 of its row in sweep order.  Returns (lo, hi, arc, sums,
+    points, point_z, point_sums): arc[i, p] marks the slots that open an
+    arc (lo[i, p], hi[i, p]), lo < hi <= lo + 2 pi, with sums sums[i, p];
+    an item without a nonzero row has the one arc (0, 2 pi) in slot 0.
+    points[q] is the item of breakpoint pattern q, listed item by item in
+    sweep order, with its unit z point_z[q] and sums point_sums[q].
     """
-    rows = np.flatnonzero((b[:, 0] != 0.0) | (b[:, 1] != 0.0))
-    if rows.size == 0:
-        sums = -np.sum(cols, axis=0, keepdims=True)
-        return (np.zeros(1), np.full(1, 2.0 * math.pi), sums,
-                np.empty((0, 2)), np.empty((0, cols.shape[1])))
-    alpha = np.arctan2(b[rows, 1], b[rows, 0])
-    theta = np.concatenate([alpha + 0.5 * math.pi, alpha - 0.5 * math.pi]) % (2.0 * math.pi)
-    order = np.argsort(theta, kind="stable")
-    theta = theta[order]
-    gap = np.diff(theta, append=theta[0] + 2.0 * math.pi)
-    widest = int(np.argmax(gap))
-    # sweep counterclockwise from the middle of the widest gap
-    order = np.roll(order, -(widest + 1))
-    theta = np.roll(theta, -(widest + 1))
-    theta[theta.size - widest - 1:] += 2.0 * math.pi
-    t0 = theta[0] - 0.5 * gap[widest]
-    s0 = np.where(b @ np.array([math.cos(t0), math.sin(t0)]) > 0.0, 1.0, -1.0)
-    down = order < rows.size            # + to - at this breakpoint
-    flip_rows = rows[order % rows.size]
-    flips = np.where(down, -2.0, 2.0)[:, None] * cols[flip_rows]
-    before = np.zeros((theta.size + 1, cols.shape[1]))
-    np.cumsum(flips, axis=0, out=before[1:])
-    before += s0 @ cols                 # before[i]: sums ahead of breakpoint i
+    items, m, _ = b.shape
+    slots = 2 * m
+    pos = np.arange(slots)
+    rows = np.arange(items)
+    nonzero = (b[..., 0] != 0.0) | (b[..., 1] != 0.0)
+    count = 2 * np.count_nonzero(nonzero, axis=1)
+    last = np.maximum(count - 1, 0)
+    valid = pos < count[:, None]
+    alpha = np.arctan2(b[..., 1], b[..., 0])
+    theta = np.concatenate([alpha + 0.5 * math.pi, alpha - 0.5 * math.pi], axis=1)
+    # zero rows sort last, each at a value of its own
+    unsorted = np.where(np.concatenate([nonzero, nonzero], axis=1), theta % (2.0 * math.pi),
+                        4.0 * math.pi + pos)
+    base = slots * rows[:, None]  # row starts in the flattened arrays
+    order = np.argsort(unsorted, axis=1)
+    theta = np.take(unsorted, order + base)
+    tied = np.any(theta[:, 1:] == theta[:, :-1], axis=1)
+    if tied.any():  # equal breakpoints keep their row order
+        order[tied] = np.argsort(unsorted[tied], axis=1, kind="stable")
+    gap = np.empty_like(theta)
+    np.subtract(theta[:, 1:], theta[:, :-1], out=gap[:, :-1])
+    gap[rows, last] = theta[:, 0] + 2.0 * math.pi - theta[rows, last]
+    gap[~valid] = -math.inf
+    widest = np.argmax(gap, axis=1)
+    # sweep counterclockwise from the middle of the widest gap: slot p
+    # takes breakpoint p + widest + 1, one turn on where that wraps
+    src = pos + (widest + 1)[:, None]
+    wrapped = valid & (src >= count[:, None])
+    src = np.where(valid, src - wrapped * count[:, None], pos)
+    order, theta = np.take(order, src + base), np.take(theta, src + base)
+    theta[wrapped] += 2.0 * math.pi
+    t0 = theta[:, 0] - 0.5 * gap[rows, widest]
+    down = order < m                    # + to - at this breakpoint
+    flip_rows = order % m
 
-    starts = np.flatnonzero(np.diff(theta, prepend=-math.inf) > ARC_MERGE)
-    ends = np.append(starts[1:], theta.size) - 1
-    lo = np.append(theta[-1] - 2.0 * math.pi, theta[ends[:-1]])
-    hi = theta[starts]
-    arc_sums = before[starts]
+    sums0 = np.empty((items, cols.shape[2]))
+    for i in range(items):
+        if count[i]:
+            s0 = (b[i] @ np.array([math.cos(t0[i]), math.sin(t0[i])]) > 0.0) * 2.0 - 1.0
+            sums0[i] = s0 @ cols[i]
+        else:
+            sums0[i] = -np.sum(cols[i], axis=0)
+    flips = np.take(np.ascontiguousarray(cols).reshape(items * m, -1),
+                    flip_rows + m * rows[:, None], axis=0)
+    flips *= (2.0 - 4.0 * down)[..., None]
+    before = np.empty((items, slots + 1, cols.shape[2]))
+    before[:, 0] = 0.0
+    np.cumsum(flips, axis=1, out=before[:, 1:])
+    before += sums0[:, None]            # before[i, p]: sums ahead of breakpoint p
+    empty = count == 0
+    before[empty, 0] = sums0[empty]
+    theta[empty, 0] = 2.0 * math.pi
 
-    n_down = np.concatenate([[0], np.cumsum(down)])
-    downs = n_down[ends + 1] - n_down[starts]
-    mixed = (downs > 0) & (downs < ends + 1 - starts)
+    lo = np.empty_like(theta)
+    lo[:, 1:] = theta[:, :-1]
+    lo[:, 0] = theta[rows, last] - 2.0 * math.pi
+    arc = valid.copy()
+    arc[:, 0] = True
+    arc[:, 1:] &= np.diff(theta, axis=1) > ARC_MERGE
+
+    # a breakpoint has a pattern of its own where its rows turn both ways
+    mixed = np.zeros_like(arc)
+    mixed[:, 1:] = valid[:, 1:] & ~arc[:, 1:] & (down[:, 1:] != down[:, :-1])
     if not mixed.any():
-        return lo, hi, arc_sums, np.empty((0, 2)), np.empty((0, cols.shape[1]))
+        return (lo, theta, arc, before[:, :slots], np.empty(0, dtype=np.int64),
+                np.empty((0, 2)), np.empty((0, cols.shape[2])))
+    opening = np.maximum.accumulate(np.where(arc, pos, 0), axis=1)
+    points, at = np.divmod(np.unique(np.flatnonzero(mixed) // slots * slots
+                                     + opening[mixed]), slots)
+    # the group opened at slot p runs to the next opening slot
+    ahead = np.full((items, slots + 1), slots)
+    ahead[:, :-1] = np.where(arc, pos, slots)
+    ahead = np.minimum.accumulate(ahead[:, ::-1], axis=1)[:, ::-1]
+    end = np.minimum(ahead[points, at + 1], count[points])
     # at the point itself the rows turning down are already at -1, the
     # rows turning up still are
     down_sums = np.zeros_like(before)
-    np.cumsum(np.where(down[:, None], flips, 0.0), axis=0, out=down_sums[1:])
-    at, last = starts[mixed], ends[mixed] + 1
-    point_sums = before[at] + down_sums[last] - down_sums[at]
-    lead = b[flip_rows[at]]
-    point_z = np.where(down[at, None], 1.0, -1.0) * np.stack([-lead[:, 1], lead[:, 0]], axis=1)
+    np.cumsum(np.where(down[..., None], flips, 0.0), axis=1, out=down_sums[:, 1:])
+    point_sums = before[points, at] + down_sums[points, end] - down_sums[points, at]
+    lead = b[points, flip_rows[points, at]]
+    point_z = (down[points, at] * 2.0 - 1.0)[:, None] * np.stack([-lead[:, 1], lead[:, 0]], axis=1)
     point_z /= np.hypot(lead[:, 0], lead[:, 1])[:, None]
-    return lo, hi, arc_sums, point_z, point_sums
+    return lo, theta, arc, before[:, :slots], points, point_z, point_sums
 
 
 def _norm_on_arcs(b, nu):
-    """Exact max over unit z of |(1/M)||b z||_1 - nu| for an M x 2 block.
+    """Exact max over unit z of |(1/M)||b[i] z||_1 - nu| for every M x 2
+    block b[i] of an (items, M, 2) stack.
 
     On each arc (1/M)||b z||_1 = A cos t + B sin t, so its extremes lie at
     the arc's ends or at the stationary angles atan2(B, A) and + pi.
-    Returns (value, unit z, arcs evaluated).
+    Returns (value, angle of the maximiser, arcs evaluated) per block.
     """
-    m = b.shape[0]
-    lo, hi, sums, _, _ = _circle_arcs(b, b)
-    a_coef, b_coef = sums[:, 0] / m, sums[:, 1] / m
-    peak = np.arctan2(b_coef, a_coef)[:, None] + np.array([0.0, math.pi])
-    inner = lo[:, None] + (peak - lo[:, None]) % (2.0 * math.pi)
-    t = np.concatenate([lo[:, None], hi[:, None], inner], axis=1)
-    dev = np.abs(a_coef[:, None] * np.cos(t) + b_coef[:, None] * np.sin(t) - nu)
-    dev[:, 2:][inner >= hi[:, None]] = -1.0
-    best = np.unravel_index(int(np.argmax(dev)), dev.shape)
-    angle = float(t[best])
-    return float(dev[best]), np.array([math.cos(angle), math.sin(angle)]), lo.size
+    items, m, _ = b.shape
+    lo, hi, arc, sums, *_ = _circle_arcs(b, b)
+    a_coef, b_coef = sums[..., 0] / m, sums[..., 1] / m
+    peak = np.arctan2(b_coef, a_coef)[..., None] + np.array([0.0, math.pi])
+    inner = lo[..., None] + (peak - lo[..., None]) % (2.0 * math.pi)
+    cos_hi, sin_hi = np.cos(hi), np.sin(hi)
+    # an arc's lo is the hi of the arc before it (slot 0's wraps round)
+    cos_lo, sin_lo = np.roll(cos_hi, 1, axis=1), np.roll(sin_hi, 1, axis=1)
+    cos_lo[:, 0], sin_lo[:, 0] = np.cos(lo[:, 0]), np.sin(lo[:, 0])
+    dev = np.full(lo.shape + (4,), -1.0)
+    dev[..., 0] = np.abs(a_coef * cos_lo + b_coef * sin_lo - nu)
+    dev[..., 1] = np.abs(a_coef * cos_hi + b_coef * sin_hi - nu)
+    i, p, c = np.nonzero(inner < hi[..., None])  # stationary angles inside their arc
+    dev[i, p, c + 2] = np.abs(a_coef[i, p] * np.cos(inner[i, p, c])
+                              + b_coef[i, p] * np.sin(inner[i, p, c]) - nu)
+    dev[~arc] = -math.inf
+    best = np.argmax(dev.reshape(items, -1), axis=1)
+    rows, (p, c) = np.arange(items), np.divmod(best, 4)
+    angle = np.where(c == 0, lo[rows, p], np.where(c == 1, hi[rows, p], inner[rows, p, c % 2]))
+    return dev[rows, p, c], angle, np.count_nonzero(arc, axis=1)
 
 
-def _cross_candidates(b, cols):
-    """One unit z per sign pattern of b z on the circle (arc midpoints,
-    then the breakpoints with patterns of their own) and |s @ cols| / M
-    for each: a row per pattern, a column per column of cols."""
-    lo, hi, arc_sums, point_z, point_sums = _circle_arcs(b, cols)
-    mid = 0.5 * (lo + hi)
-    z = np.concatenate([np.stack([np.cos(mid), np.sin(mid)], axis=1), point_z])
-    return z, np.abs(np.concatenate([arc_sums, point_sums])) / b.shape[0]
+def _cross_on_arcs(b, cols):
+    """For every M x 2 block b[i] and every column c of cols[i], the max of
+    |s @ c| / M over the sign patterns s of b[i] z on the circle (arc
+    midpoints, then the breakpoints with patterns of their own; the first
+    maximum wins).  Returns (value, unit z) per item and column, and the
+    patterns per item."""
+    items, m, _ = b.shape
+    lo, hi, arc, sums, points, point_z, point_sums = _circle_arcs(b, cols)
+    vals = np.abs(sums)
+    vals /= m
+    vals[~arc] = -math.inf
+    best = np.argmax(vals, axis=1)
+    value = np.take_along_axis(vals, best[:, None], axis=1)[:, 0]
+    mid = 0.5 * (np.take_along_axis(lo, best, axis=1) + np.take_along_axis(hi, best, axis=1))
+    z = np.stack([np.cos(mid), np.sin(mid)], axis=2)
+    point_vals = np.abs(point_sums) / m
+    for i in np.unique(points):
+        mine = points == i
+        top = np.argmax(point_vals[mine], axis=0)
+        top_val = np.take_along_axis(point_vals[mine], top[None], axis=0)[0]
+        wins = top_val > value[i]
+        value[i, wins] = top_val[wins]
+        z[i, wins] = point_z[mine][top[wins]]
+    return value, z, np.count_nonzero(arc, axis=1) + np.bincount(points, minlength=items)
 
 
 def _cross_overlap_k1(phi, su, j):
@@ -374,7 +491,7 @@ def _cross_overlap_k1(phi, su, j):
     Returns (value, u coefficients on S_u)."""
     other = su != j
     col_i = phi[:, su[other][0]]
-    plus, minus = (abs(float(np.where(sign * col_i > 0.0, 1.0, -1.0) @ phi[:, j])) / phi.shape[0]
+    plus, minus = (abs(float(((sign * col_i > 0.0) * 2.0 - 1.0) @ phi[:, j])) / phi.shape[0]
                    for sign in (1.0, -1.0))
     return max(plus, minus), np.where(other, 1.0 if plus >= minus else -1.0, 0.0)
 
@@ -409,9 +526,11 @@ def estimate_norm_deviation(phi, k: int, budget: SearchBudget, rng: RngSpec) -> 
     else:
         supports = (stream.subset(n, width) for _ in range(budget.supports))
 
-    def exact(sup):
-        val, z, arcs = _norm_on_arcs(phi[:, sup], nu)
-        return val, (sup, z), arcs
+    def exact(block):
+        sups = np.array(block)
+        vals, angles, arcs = _norm_on_arcs(_stacked(phi, sups), nu)
+        return vals[:, None], arcs.sum(), lambda i, _: (
+            sups[i], np.array([math.cos(angles[i]), math.sin(angles[i])]))
 
     draws = ((sup, stream.normal_rows(budget.starts, width).T) for sup in supports)
     # lane 2j climbs up from start j, lane 2j + 1 down from it
@@ -424,7 +543,7 @@ def estimate_norm_deviation(phi, k: int, budget: SearchBudget, rng: RngSpec) -> 
         return vals, used.sum(), lambda i, j: (sups[i], z[i, :, j])
 
     if width == 2:
-        best, evals, visited = _search(_blocks(supports), _each(exact))
+        best, evals, visited = _search(_blocks(supports, _sweep_size(m, 2)), exact)
     else:
         best, evals, visited = _search(_blocks(draws), climb)
     witness = None
@@ -436,13 +555,15 @@ def estimate_norm_deviation(phi, k: int, budget: SearchBudget, rng: RngSpec) -> 
                       exhaustive)
 
 
-def _pair_draws(spec, index, starts, steps, width):
-    """Pair `index`'s starts (row 0) and step directions (row t + 1), as
-    (steps + 1, width, starts), in one call on a stream of its own; the
-    key takes two child levels, as one child tag ends below CHILD_TAGS."""
-    hi, lo = divmod(index, CHILD_TAGS)
-    draws = Stream(spec.child(hi).child(lo)).normal((steps + 1) * starts * width)
-    return draws.reshape(steps + 1, starts, width).transpose(0, 2, 1)
+def _pair_draws(spec, indices, starts, steps, width):
+    """The starts (row 0) and step directions (row t + 1) of the pairs
+    `indices`, as (pairs, steps + 1, width, starts): each pair's come from
+    one normal call on a stream of its own, keyed by its index under two
+    child levels, as one child tag ends below CHILD_TAGS."""
+    size = (steps + 1) * starts * width
+    draws = np.stack([Stream(spec.child(hi).child(lo)).normal(size)
+                      for hi, lo in (divmod(index, CHILD_TAGS) for index in indices)])
+    return draws.reshape(len(indices), steps + 1, starts, width).transpose(0, 1, 3, 2)
 
 
 def _sample_pair(stream, n, k, overlap_share, disjoint_ok):
@@ -477,9 +598,10 @@ def estimate_cross_deviation(phi, k: int, budget: SearchBudget, rng: RngSpec) ->
     its own support.  The family mix is recorded in the result.  Pairs
     are drawn in order on rng.child(0).  At k = 1 each pair is solved
     exactly and no starts are drawn: a disjoint pair's value is constant
-    on each arc of the S_u circle (_cross_candidates, swept once per S_u
-    and read for every S_v), and an overlapping pair forces u = +-e_i
-    (_cross_overlap_k1); v is the unit vector e_j of S_v = {j}.  At
+    on each arc of the S_u circle (_cross_on_arcs; exhaustive mode sweeps
+    each S_u once over every column and reads it for every S_v, sampled
+    mode sweeps each pair's S_v alone), and an overlapping pair forces
+    u = +-e_i (_cross_overlap_k1); v is the unit vector e_j of S_v = {j}.  At
     k >= 2 u climbs by random-direction steps: each pair's starts and
     directions come from a stream keyed by the pair's index under
     rng.child(1) (_pair_draws), so a larger pair budget extends a smaller
@@ -520,42 +642,44 @@ def estimate_cross_deviation(phi, k: int, budget: SearchBudget, rng: RngSpec) ->
                 families[family] += 1
                 yield su, sv
 
-    swept = [None, None]  # (S_u, its candidates on every column of phi)
-
-    def exact(pair):
-        su, sv = pair
-        j = int(sv[0])
-        if j in su:
-            val, zu = _cross_overlap_k1(phi, su, j)
-            return val, (su, zu, sv, np.ones(1)), 2
-        # Two sweeps with the same bytes, each the faster where it runs.
-        # Exhaustive pairs share S_u, so one sweep over every column
-        # serves them all (a sweep per pair took about 4x the time on two
-        # 400 x 8 matrices); sampled pairs rarely share it, so a sweep
-        # over every column is wasted (about 2.5x the time on two sampled
-        # 60 x 200 matrices at k = 1; one BLAS thread on 2 vCPUs).
+    def exact(block):
+        su, sv = map(np.array, zip(*block))
+        j = sv[:, 0]
+        vals, zu = np.empty(len(block)), np.empty((len(block), 2))
+        inside = (su == j[:, None]).any(axis=1)
+        for i in np.flatnonzero(inside):
+            vals[i], zu[i] = _cross_overlap_k1(phi, su[i], j[i])
+        evals = 2 * np.count_nonzero(inside)
         if exhaustive:
-            if swept[0] is not su:
-                swept[:] = su, _cross_candidates(phi[:, su], phi)
-            zs, vals = swept[1]
-            vals = vals[:, j]
-        else:
-            zs, vals = _cross_candidates(phi[:, su], phi[:, sv])
-            vals = vals[:, 0]
-        best = int(np.argmax(vals))
-        return float(vals[best]), (su, zs[best], sv, np.ones(1)), vals.size
+            # pairs come S_u by S_u, so one sweep of each S_u over every
+            # column serves all its pairs
+            first = np.append(True, np.any(su[1:] != su[:-1], axis=1))
+            item = np.cumsum(first) - 1
+            shared = np.broadcast_to(phi, (np.count_nonzero(first),) + phi.shape)
+            value, z, patterns = _cross_on_arcs(_stacked(phi, su[first]), shared)
+            vals[:], zu[:] = value[item, j], z[item, j]
+            evals += patterns[item].sum()
+        elif not inside.all():
+            # sampled pairs rarely share S_u: each sweeps its own S_v only
+            apart = ~inside
+            value, z, patterns = _cross_on_arcs(_stacked(phi, su[apart]), _stacked(phi, sv[apart]))
+            vals[apart], zu[apart] = value[:, 0], z[:, 0]
+            evals += patterns.sum()
+        return vals[:, None], evals, lambda i, _: (su[i], zu[i], sv[i], np.ones(1))
 
     def climb(block):
         su, sv = map(np.array, zip(*(pair for _, pair in block)))
-        draws = np.stack([_pair_draws(rng.child(1), index, budget.starts, budget.steps, 2 * k)
-                          for index, _ in block])
+        draws = _pair_draws(rng.child(1), [index for index, _ in block], budget.starts,
+                            budget.steps, 2 * k)
         sel = (sv[:, :, None] == su[:, None, :]).astype(float)
         zu, vals, zv, used = _cross_lanes(_stacked(phi, su), _stacked(phi, sv), sel,
                                           draws[:, 0], draws[:, 1:])
         return vals, used.sum(), lambda i, j: (su[i], zu[i, :, j], sv[i], zv[i, :, j])
 
     if k == 1:
-        best, evals, visited = _search(_blocks(pairs()), _each(exact))
+        # an exhaustive block holds every pair (n - 2 of them) of its supports
+        size = _sweep_size(m, n) * (n - 2) if exhaustive else _sweep_size(m, 1)
+        best, evals, visited = _search(_blocks(pairs(), size), exact)
     else:
         best, evals, visited = _search(_blocks(enumerate(pairs())), climb)
     witness = None

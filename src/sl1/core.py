@@ -95,7 +95,7 @@ def hard_support(v, k: int) -> np.ndarray:
 def sign_vec(v) -> np.ndarray:
     """Componentwise sign with the convention sign(0) = -1."""
     v = as_vector(v)
-    return np.where(v > 0.0, 1.0, -1.0)
+    return (v > 0.0) * 2.0 - 1.0
 
 
 def compressibility_error(x, k: int) -> float:

@@ -111,7 +111,7 @@ class Stream:
 
     def signs(self, n: int) -> np.ndarray:
         """Independent +-1 values."""
-        return np.where(self.raw(n) & np.uint64(1), 1.0, -1.0)
+        return (self.raw(n) & np.uint64(1)) * 2.0 - 1.0
 
     def integer_below(self, bound: int) -> int:
         """Uniform integer in [0, bound) by masked rejection."""
@@ -120,7 +120,7 @@ class Stream:
             raise ValueError(f"bound must be positive, got {bound}")
         mask = (1 << (bound - 1).bit_length()) - 1
         while True:
-            r = int(self.raw(1)[0]) & mask
+            r = self._bg.random_raw() & mask
             if r < bound:
                 return r
 

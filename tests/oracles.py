@@ -3,9 +3,11 @@
 Everything here is deliberately written from first principles (plain
 numpy, exhaustive enumeration, bisection) or handed to an outside solver
 (HiGHS), and never calls back into the package's own implementations of
-the operations it checks.  The one exception, trace_tail_rows, keeps the
-tracer's former per-block arithmetic on the package's primitives, so
-that the batched tracer can be held to its bytes.
+the operations it checks.  Two exceptions keep a former per-item form
+of a batched computation, so that the batch can be held to its bytes:
+trace_tail_rows (the tracer's per-block arithmetic on the package's
+primitives) and circle_arcs_one_support (the k = 1 arc sweep of one
+support).
 """
 
 import math
@@ -176,6 +178,53 @@ def _circle_arcs_k1(b):
         if hi - lo > 1e-12:
             arcs.append((lo, hi))
     return arcs
+
+
+def circle_arcs_one_support(b, cols, arc_merge):
+    """The k = 1 arc sweep of one M x 2 block b, one support at a time:
+    (lo, hi, arc_sums, point_z, point_sums) over its arcs in sweep order,
+    then its breakpoints with sign patterns of their own (rows turning
+    both ways at one angle, each at sign(0) = -1)."""
+    rows = np.flatnonzero((b[:, 0] != 0.0) | (b[:, 1] != 0.0))
+    if rows.size == 0:
+        sums = -np.sum(cols, axis=0, keepdims=True)
+        return (np.zeros(1), np.full(1, 2.0 * math.pi), sums,
+                np.empty((0, 2)), np.empty((0, cols.shape[1])))
+    alpha = np.arctan2(b[rows, 1], b[rows, 0])
+    theta = np.concatenate([alpha + 0.5 * math.pi, alpha - 0.5 * math.pi]) % (2.0 * math.pi)
+    order = np.argsort(theta, kind="stable")
+    theta = theta[order]
+    gap = np.diff(theta, append=theta[0] + 2.0 * math.pi)
+    widest = int(np.argmax(gap))
+    order = np.roll(order, -(widest + 1))
+    theta = np.roll(theta, -(widest + 1))
+    theta[theta.size - widest - 1:] += 2.0 * math.pi
+    t0 = theta[0] - 0.5 * gap[widest]
+    s0 = np.where(b @ np.array([math.cos(t0), math.sin(t0)]) > 0.0, 1.0, -1.0)
+    down = order < rows.size
+    flip_rows = rows[order % rows.size]
+    flips = np.where(down, -2.0, 2.0)[:, None] * cols[flip_rows]
+    before = np.zeros((theta.size + 1, cols.shape[1]))
+    np.cumsum(flips, axis=0, out=before[1:])
+    before += s0 @ cols
+    starts = np.flatnonzero(np.diff(theta, prepend=-math.inf) > arc_merge)
+    ends = np.append(starts[1:], theta.size) - 1
+    lo = np.append(theta[-1] - 2.0 * math.pi, theta[ends[:-1]])
+    hi = theta[starts]
+    arc_sums = before[starts]
+    n_down = np.concatenate([[0], np.cumsum(down)])
+    downs = n_down[ends + 1] - n_down[starts]
+    mixed = (downs > 0) & (downs < ends + 1 - starts)
+    if not mixed.any():
+        return lo, hi, arc_sums, np.empty((0, 2)), np.empty((0, cols.shape[1]))
+    down_sums = np.zeros_like(before)
+    np.cumsum(np.where(down[:, None], flips, 0.0), axis=0, out=down_sums[1:])
+    at, last = starts[mixed], ends[mixed] + 1
+    point_sums = before[at] + down_sums[last] - down_sums[at]
+    lead = b[flip_rows[at]]
+    point_z = np.where(down[at, None], 1.0, -1.0) * np.stack([-lead[:, 1], lead[:, 0]], axis=1)
+    point_z /= np.hypot(lead[:, 0], lead[:, 1])[:, None]
+    return lo, hi, arc_sums, point_z, point_sums
 
 
 def _signs_at(b, t):

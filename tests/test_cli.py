@@ -676,6 +676,34 @@ class TestConfig:
         # the JSON text tells 1 from 1.0
         assert json.dumps(config, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
+    def test_no_flag_or_default_carries_over_between_calls(self, tmp_path):
+        # main keeps one parser per process: a call with flags, then a call
+        # of another command with none, echoes that command's defaults
+        flagged = {"gen": ["--out", str(tmp_path / "g"), "--n", "5", "--m", "7", "--k", "2",
+                           "--seed", "4", "--noise", "sparse", "--s", "2"],
+                   "solve": ["--method", "lp-exact", "--max-iters", "77"],
+                   "conditions": ["--k", "1", "--supports", "3", "--pairs", "5", "--seed", "9"],
+                   "trace": ["--objective-tol", "1e-6", "--steps", "2", "--stream", "3"],
+                   "grid": ["--out", str(tmp_path / "grid"), "--n", "4", "--m-values", "6",
+                            "--k-values", "1", "--s-values", "0", "--trials", "2",
+                            "--spike-scale", "2", "--method", "lp-exact"]}
+        for command in self.ECHOES:
+            for other in self.ECHOES:
+                if other == command:
+                    continue
+                run = tmp_path / f"{other}-{command}"
+                run.mkdir()
+                bundle = str(run / "bundle")
+                assert main(["gen", "--out", bundle, "--n", "6", "--m", "8", "--k", "1"]) == 0
+                extra = [] if other in ("gen", "grid") else ["--bundle", bundle, "--out",
+                                                            str(run / "flagged.json")]
+                assert main([other, *flagged[other], *extra]) == 0
+                config, bundle, out = self._default_echo(run, command)
+                expected = {key: bundle if value == "BUNDLE" else value
+                            for key, value in self.ECHOES[command].items()}
+                expected["out"] = out
+                assert json.dumps(config, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
     @pytest.mark.parametrize("command", list(ECHOES))
     def test_one_flag_per_config_key(self, tmp_path, command):
         # every setting has a flag and a config key, and nothing else does

@@ -9,7 +9,7 @@ from sl1.conditions import SearchBudget
 from sl1.generators import gen_gaussian_matrix, make_instance
 from sl1.rng import CHILD_TAGS, RngSpec, Stream
 
-from oracles import (ascend_sphere_scalar, cross_climb_scalar,
+from oracles import (ascend_sphere_scalar, circle_arcs_one_support, cross_climb_scalar,
                      cross_deviation_disjoint_max_k1, k1_exact_cross_deviation,
                      k1_exact_norm_deviation, norm_deviation_on_angle_grid)
 
@@ -285,13 +285,28 @@ class TestCrossSearch:
         # of their own; no 65k-pair search needed to reach them
         spec = RngSpec(9).child(1)
         indices = (0, CHILD_TAGS - 1, CHILD_TAGS, 70_000, CHILD_TAGS ** 2 - 1)
-        draws = {i: conditions._pair_draws(spec, i, 2, 3, 4) for i in indices}
-        assert all(d.shape == (4, 4, 2) for d in draws.values())
-        assert len({d.tobytes() for d in draws.values()}) == len(indices)
+        draws = conditions._pair_draws(spec, indices, 2, 3, 4)
+        assert draws.shape == (5, 4, 4, 2)
+        assert len({d.tobytes() for d in draws}) == len(indices)
         direct = Stream(spec.child(1).child(70_000 - CHILD_TAGS)).normal(32)
-        assert np.array_equal(draws[70_000], direct.reshape(4, 2, 4).transpose(0, 2, 1))
+        assert np.array_equal(draws[3], direct.reshape(4, 2, 4).transpose(0, 2, 1))
         with pytest.raises(ValueError):
-            conditions._pair_draws(spec, CHILD_TAGS ** 2, 2, 3, 4)
+            conditions._pair_draws(spec, [CHILD_TAGS ** 2], 2, 3, 4)
+
+    @pytest.mark.parametrize("starts,steps,width", [(6, 40, 6), (3, 2, 5), (1, 0, 4)])
+    def test_pair_draws_of_a_block_match_one_pair_at_a_time(self, starts, steps, width):
+        # a block of pairs gives every pair the normals of its own stream,
+        # indices past one child tag included
+        spec = RngSpec(10).child(1)
+        indices = [0, 1, 5, CHILD_TAGS - 1, CHILD_TAGS, 70_000, CHILD_TAGS ** 2 - 1]
+        block = conditions._pair_draws(spec, indices, starts, steps, width)
+        size = (steps + 1) * starts * width
+        for index, draws in zip(indices, block):
+            assert np.array_equal(draws, conditions._pair_draws(spec, [index], starts, steps,
+                                                                width)[0])
+            hi, lo = divmod(index, CHILD_TAGS)
+            own = Stream(spec.child(hi).child(lo)).normal(size)
+            assert np.array_equal(draws, own.reshape(steps + 1, starts, width).transpose(0, 2, 1))
 
     @pytest.mark.parametrize("field", ["pairs", "exhaustive_cap"])
     def test_budget_refuses_pairs_past_the_stream_keys(self, field):
@@ -321,7 +336,10 @@ class TestCrossSearch:
                 assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("n,k,kw", [(8, 2, {}), (30, 2, {"exhaustive_cap": 0}),
-                                        (12, 3, {"exhaustive_cap": 0, "supports": 9})])
+                                        (12, 3, {"exhaustive_cap": 0, "supports": 9}),
+                                        (8, 1, {}),
+                                        (30, 1, {"exhaustive_cap": 0, "supports": 150,
+                                                 "pairs": 150})])
     def test_block_size_changes_nothing(self, monkeypatch, n, k, kw):
         phi = gen_gaussian_matrix(25, n, RngSpec(46, n))
         budget = SearchBudget(**kw)
@@ -447,6 +465,41 @@ def _degenerate(kind):
     else:
         phi = gen_gaussian_matrix(1, 5, RngSpec(904))
     return phi
+
+
+def _tied_matrix():
+    # small integers: zero rows, repeated and opposite rows, a zero
+    # column (a support with one zero column puts rows of opposite signs
+    # on one line) and a pair of zero columns (a support with no breakpoint)
+    phi = np.round(2.0 * gen_gaussian_matrix(30, 9, RngSpec(905)))
+    phi[:4] = 0.0
+    phi[20:26] = -phi[4:10]
+    phi[:, 3] = 0.0
+    phi[:, 6] = phi[:, 7] = 0.0
+    phi[:, 5] = -phi[:, 4]
+    return phi
+
+
+class TestArcSweep:
+    @pytest.mark.parametrize("kind", ["gaussian", "tied"])
+    def test_batched_sweep_matches_one_support_at_a_time(self, kind):
+        # every support of a stack gets the bytes of its own sweep: the
+        # arcs, their sums over every column, and the breakpoint patterns
+        phi = gen_gaussian_matrix(40, 9, RngSpec(906)) if kind == "gaussian" else _tied_matrix()
+        sups = np.array(list(itertools.combinations(range(9), 2)))
+        b = conditions._stacked(phi, sups)
+        lo, hi, arc, sums, points, point_z, point_sums = conditions._circle_arcs(
+            b, np.broadcast_to(phi, (len(sups),) + phi.shape))
+        patterns = 0
+        for i, sup in enumerate(sups):
+            want = circle_arcs_one_support(phi[:, sup], phi, conditions.ARC_MERGE)
+            mine = points == i
+            got = (lo[i][arc[i]], hi[i][arc[i]], sums[i][arc[i]], point_z[mine],
+                   point_sums[mine])
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
+            patterns += int(mine.sum())
+        assert patterns > 0 if kind == "tied" else patterns == 0
 
 
 class TestDegenerateK1:
