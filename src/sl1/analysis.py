@@ -24,7 +24,7 @@ from . import core
 from .conditions import ConditionEstimate, condition_verdict
 from .generators import make_instance, SparseInstance
 from .rng import RngSpec
-from .solver import STATUS_OPTIMAL, SolverConfig, SolverResult, solve
+from .solver import STATUS_OPTIMAL, SolverConfig, SolverResult, residual_slack, solve
 
 EXACT_RECOVERY_RTOL = 1e-5
 
@@ -156,20 +156,20 @@ def trace_recovery(instance: SparseInstance, result: SolverResult,
                    feasibility_tol: float = SolverConfig.feasibility_tol) -> RecoveryTrace:
     """Evaluate the full inequality chain on one solved instance.
 
-    Requires a feasible solution.  Unconditional rows must hold for any
-    feasible l1-minimal output; a failure there indicates a solver or
-    arithmetic bug.  Conditional rows use the (estimated) deviation
-    constants and may legitimately fail when those underestimate the
-    true worst case.
+    Requires a solution feasible up to solver.residual_slack.  Unconditional
+    rows must hold for any feasible l1-minimal output; a failure there
+    indicates a solver or arithmetic bug.  Conditional rows use the
+    (estimated) deviation constants and may legitimately fail when those
+    underestimate the true worst case.
     """
     phi, x, y = instance.phi, instance.x, instance.y
     eps, k, m = instance.epsilon, instance.k, instance.m
     u = core.as_vector(result.u_star, "u_star")
     residual = core.norm_lp(y - core.mat_vec(phi, u), 1)
-    if residual > eps + feasibility_tol:
-        raise ValueError(
-            f"solution is infeasible: residual {residual} exceeds epsilon {eps} "
-            f"+ tolerance {feasibility_tol}")
+    slack = residual_slack(m, core.norm_lp(y, 1), eps, feasibility_tol)
+    if residual > eps + slack:
+        raise ValueError(f"solution is infeasible: residual {residual} exceeds epsilon {eps} "
+                         f"+ slack {slack}")
 
     h = u - x
     t0 = core.hard_support(x, k)
@@ -348,14 +348,15 @@ class GridResult:
         for ci, (m, k, s) in enumerate(self.spec.cells()):
             cell = self.records[ci * per_cell:(ci + 1) * per_cell]
             errs = sorted(r.err_l2 for r in cell if not math.isnan(r.err_l2))
+            count = len(cell) or math.nan  # rates of a cell without trials are nan (null)
             summaries.append({
                 "m": m, "k": k, "s": s, "trials": len(cell),
                 "err_median": _quantile(errs, 0.5),
                 "err_q90": _quantile(errs, 0.9),
-                "bound_rate": sum(r.bound_holds for r in cell) / max(1, len(cell)),
-                "exact_rate": sum(r.exact for r in cell) / max(1, len(cell)),
-                "solved_rate": sum(r.status == STATUS_OPTIMAL for r in cell) / max(1, len(cell)),
-                "mean_iters": sum(r.iters for r in cell) / max(1, len(cell)),
+                "bound_rate": sum(r.bound_holds for r in cell) / count,
+                "exact_rate": sum(r.exact for r in cell) / count,
+                "solved_rate": sum(r.status == STATUS_OPTIMAL for r in cell) / count,
+                "mean_iters": sum(r.iters for r in cell) / count,
             })
         return summaries
 

@@ -496,6 +496,14 @@ def _cross_overlap_k1(phi, su, j):
     return max(plus, minus), np.where(other, 1.0 if plus >= minus else -1.0, 0.0)
 
 
+def _checked_sparsity(k, n: int) -> int:
+    """k as an int, or ValueError unless 1 <= 2k <= n."""
+    k = int(k)
+    if not 1 <= k or 2 * k > n:
+        raise ValueError(f"need 1 <= 2k <= n, got k={k}, n={n}")
+    return k
+
+
 def estimate_norm_deviation(phi, k: int, budget: SearchBudget, rng: RngSpec) -> SearchPart:
     """Lower bound on the worst norm deviation over vectors with at
     most 2k nonzeros, by support enumeration (when the count fits the
@@ -507,9 +515,7 @@ def estimate_norm_deviation(phi, k: int, budget: SearchBudget, rng: RngSpec) -> 
     climb as lanes of one batch."""
     phi = core.as_matrix(phi, "phi")
     m, n = phi.shape
-    k = int(k)
-    if not 1 <= k or 2 * k > n:
-        raise ValueError(f"need 1 <= 2k <= n, got k={k}, n={n}")
+    k = _checked_sparsity(k, n)
     nu = half_normal_mean()
     width = 2 * k
     total = math.comb(n, width)
@@ -570,19 +576,16 @@ def _sample_pair(stream, n, k, overlap_share, disjoint_ok):
     """Draw one (S_u, S_v) support pair; returns (S_u, S_v, family)."""
     use_overlap = not disjoint_ok or float(stream.uniform(1)[0]) < overlap_share
     su = stream.subset(n, 2 * k)
+    comp = np.delete(np.arange(n), su)
     if not use_overlap:
-        comp = core.complement_support(su, n)
-        sv = comp[stream.subset(n - 2 * k, k)]
-        return su, sv, "disjoint"
+        return su, comp[stream.subset(n - 2 * k, k)], "disjoint"
     # at least 3k - n of the k indices must come from su: only n - 2k
     # lie outside it
     lo = max(1, 3 * k - n)
     o = lo + stream.integer_below(k - lo + 1)
     inside = su[stream.subset(2 * k, o)]
     if k - o > 0:
-        comp = core.complement_support(su, n)
-        outside = comp[stream.subset(n - 2 * k, k - o)]
-        sv = core.support_union(inside, outside)
+        sv = core.support_union(inside, comp[stream.subset(n - 2 * k, k - o)])
     else:
         sv = inside
     return su, sv, "overlap"
@@ -609,9 +612,7 @@ def estimate_cross_deviation(phi, k: int, budget: SearchBudget, rng: RngSpec) ->
     """
     phi = core.as_matrix(phi, "phi")
     m, n = phi.shape
-    k = int(k)
-    if not 1 <= k or 2 * k > n:
-        raise ValueError(f"need 1 <= 2k <= n, got k={k}, n={n}")
+    k = _checked_sparsity(k, n)
     disjoint_ok = 3 * k <= n
     if not disjoint_ok and budget.overlap_share <= 0.0:
         raise ValueError(
@@ -631,7 +632,7 @@ def estimate_cross_deviation(phi, k: int, budget: SearchBudget, rng: RngSpec) ->
         if exhaustive:
             for su in itertools.combinations(range(n), 2 * k):
                 su = np.asarray(su, dtype=np.int64)
-                comp = core.complement_support(su, n)
+                comp = np.delete(np.arange(n), su)
                 for sv in itertools.combinations(comp.tolist(), k):
                     families["disjoint"] += 1
                     yield su, np.asarray(sv, dtype=np.int64)
@@ -835,9 +836,8 @@ def concentration_check(n: int, m: int, k: int, delta: float, trials: int,
 
     This samples the inequalities; it does not bound the supremum.
     """
-    n, m, k = int(n), int(m), int(k)
-    if not 1 <= k or 2 * k > n:
-        raise ValueError(f"need 1 <= 2k <= n, got k={k}, n={n}")
+    n, m = int(n), int(m)
+    k = _checked_sparsity(k, n)
     if m < 1 or trials < 1 or samples_per_trial < 1:
         raise ValueError("m, trials and samples_per_trial must be positive")
     if delta <= 0:
@@ -867,7 +867,7 @@ def concentration_check(n: int, m: int, k: int, delta: float, trials: int,
 
             su = pair_stream.subset(n, k)
             zu = pair_stream.unit_vector(k)
-            comp = core.complement_support(su, n)
+            comp = np.delete(np.arange(n), su)
             sv = comp[pair_stream.subset(n - k, k)]
             zv = pair_stream.unit_vector(k)
             signs = core.sign_vec(phi[:, su] @ zu)

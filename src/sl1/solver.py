@@ -66,7 +66,7 @@ RESTART_ARTIFICIAL = 0.36
 @dataclass
 class SolverConfig:
     method: str = METHOD_FIRST_ORDER
-    feasibility_tol: float = 1e-8   # slack on ||y - phi u||_1 - epsilon (see solve_first_order)
+    feasibility_tol: float = 1e-8   # slack on ||y - phi u||_1 - epsilon (see residual_slack)
     objective_tol: float = 1e-7    # relative: duality gap
     max_iters: int = 50_000
 
@@ -108,6 +108,26 @@ class SolverResult:
 
 def residual_l1(phi, y, u) -> float:
     return float(np.sum(np.abs(y - phi @ u)))
+
+
+def residual_slack(m: int, y_l1: float, epsilon: float, feasibility_tol: float) -> float:
+    """How far past epsilon ||y - phi u||_1 may lie for u to count as feasible:
+    feasibility_tol * min(1, ||y||_1) (relative below 1), plus the rounding
+    of the m residual terms, which alone can exceed an absolute slack."""
+    return feasibility_tol * min(1.0, y_l1) + m * 2.0 ** -52 * (y_l1 + epsilon)
+
+
+def _checked_problem(phi, y, epsilon) -> tuple:
+    """(phi, y, float(epsilon)), or ValueError unless y fits phi and epsilon >= 0."""
+    phi = core.as_matrix(phi, "phi")
+    y = core.as_vector(y, "y")
+    epsilon = float(epsilon)
+    m, n = phi.shape
+    if y.size != m:
+        raise ValueError(f"phi is {m}x{n} but y has length {y.size}")
+    if not epsilon >= 0:  # NaN fails this test too
+        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+    return phi, y, epsilon
 
 
 def soft_threshold(v, tau: float) -> np.ndarray:
@@ -224,14 +244,7 @@ class LpProblem:
 
 
 def lp_formulate(phi, y, epsilon: float) -> LpProblem:
-    phi = core.as_matrix(phi, "phi")
-    y = core.as_vector(y, "y")
-    m, n = phi.shape
-    if y.size != m:
-        raise ValueError(f"phi is {m}x{n} but y has length {y.size}")
-    if not epsilon >= 0:  # NaN fails this test too
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-    return LpProblem(phi=phi, y=y, epsilon=float(epsilon))
+    return LpProblem(*_checked_problem(phi, y, epsilon))
 
 
 def _power_of_two_below(value: float) -> float:
@@ -462,11 +475,8 @@ def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> So
     primal move since the last restart.
 
     Every CHECK_EVERY iterations the best point seen that is feasible up
-    to feasibility_tol * min(1, ||y||_1) + m * 2^-52 * (||y||_1 + epsilon)
-    (the second term covers the rounding of the m residual terms, which
-    alone pushes points on the boundary of a large ball past an absolute
-    slack) is compared with the dual lower bound of the current dual;
-    the solve stops "optimal" only when that duality gap is within
+    to residual_slack is compared with the dual lower bound of the current
+    dual; the solve stops "optimal" only when that duality gap is within
     objective_tol * obj of zero (the optimum is positive once
     ||y||_1 > epsilon), and reports the gap it accepted.
     A nearly feasible point is polished (_FeasibilityPolish) only once
@@ -492,14 +502,8 @@ def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> So
     steps, the restricted LPs ("restricted_lps") and the least-squares
     finishes ("active_set_solves") run.
     """
-    phi = core.as_matrix(phi, "phi")
-    y = core.as_vector(y, "y")
-    epsilon = float(epsilon)
+    phi, y, epsilon = _checked_problem(phi, y, epsilon)
     m, n = phi.shape
-    if y.size != m:
-        raise ValueError(f"phi is {m}x{n} but y has length {y.size}")
-    if not epsilon >= 0:  # NaN fails this test too
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     cfg = config if config is not None else SolverConfig()
     otol = cfg.objective_tol
 
@@ -531,9 +535,7 @@ def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> So
     checked_residual = math.inf    # the step's residual at the previous restart check
     run = 0                        # iterations since the last restart
     restarts = 0
-    # the slack follows ||y||_1 below 1, plus the rounding of m residual terms
-    slack = cfg.feasibility_tol * min(1.0, y_l1) + m * 2.0 ** -52 * (y_l1 + epsilon)
-    incumbent = _Incumbent(phi, y, epsilon, slack)
+    incumbent = _Incumbent(phi, y, epsilon, residual_slack(m, y_l1, epsilon, cfg.feasibility_tol))
 
     def closes(gap):
         # a gap below -tolerance shows an incumbent outside the ball

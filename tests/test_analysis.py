@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from sl1 import analysis, core
+from sl1 import analysis, core, solver
 from sl1.conditions import ConditionEstimate
 from sl1.generators import make_instance
 from sl1.rng import RngSpec
-from sl1.solver import (SolverConfig, SolverResult, lp_formulate, solve, solve_first_order,
-                        solve_lp_exact)
+from sl1.solver import (METHODS, SolverConfig, SolverResult, lp_formulate, solve,
+                        solve_first_order, solve_lp_exact)
 
 from oracles import trace_tail_rows
 from test_solver import _criterion_1_instance
@@ -125,6 +125,30 @@ class TestTrace:
             row = trace.row("residual-feasibility")
             assert row.holds
             assert row.rhs == 2.0 * inst.epsilon + 2.0 * 1e-8
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6, 1e9])
+    def test_every_optimal_solve_traces_at_extreme_scales(self, scale):
+        # The tracer accepts the points the solver accepts: at 1e6 and 1e9 the
+        # rounding of the m residual terms alone exceeds an absolute
+        # feasibility_tol, and an absolute guard refused most optimal solves.
+        solved = 0
+        for seed in range(10):
+            inst = make_instance(24, 32, 2, {"kind": "sparse", "s": 3, "scale": scale},
+                                 {"kind": "sparse", "amplitude": ["uniform", scale, 2 * scale]},
+                                 RngSpec(7, seed))
+            for method in METHODS:
+                result = solve(inst.phi, inst.y, inst.epsilon, SolverConfig(method=method))
+                if result.status != "optimal":
+                    continue
+                solved += 1
+                trace = analysis.trace_recovery(inst, result, _estimate(k=inst.k))
+                assert trace.unconditional_ok(), (seed, method, [
+                    r.as_dict() for r in trace.rows if not r.conditional and not r.holds])
+                residual = core.norm_lp(inst.y - core.mat_vec(inst.phi, result.u_star), 1)
+                slack = solver.residual_slack(inst.m, core.norm_lp(inst.y, 1), inst.epsilon,
+                                              SolverConfig.feasibility_tol)
+                assert residual <= inst.epsilon + slack, (seed, method, residual - inst.epsilon)
+        assert solved == 20
 
     def test_infeasible_result_rejected(self):
         inst = self._instance(3)

@@ -605,7 +605,11 @@ class TestGrid:
         first = (out / "summary.json").read_bytes()
         doc = _strict_json(out / "summary.json")
         cell = doc["cells"][0]
-        assert cell["err_median"] is None and cell["err_q90"] is None
+        # a cell without trials has no rates or mean, not zero ones
+        assert cell["trials"] == 0
+        for key in ("err_median", "err_q90", "bound_rate", "exact_rate", "solved_rate",
+                    "mean_iters"):
+            assert cell[key] is None, key
         assert matio.dump_json(doc).encode() == first
         assert main(["grid", "--config", str(out / "summary.json")]) == 0
         assert (out / "summary.json").read_bytes() == first
