@@ -128,9 +128,9 @@ class TestTrace:
 
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6, 1e9])
     def test_every_optimal_solve_traces_at_extreme_scales(self, scale):
-        # The tracer accepts the points the solver accepts: at 1e6 and 1e9 the
-        # rounding of the m residual terms alone exceeds an absolute
-        # feasibility_tol, and an absolute guard refused most optimal solves.
+        # The tracer must accept every point the solver accepts: at 1e6 and
+        # 1e9 the rounding of the m residual terms alone exceeds an absolute
+        # feasibility_tol.
         solved = 0
         for seed in range(10):
             inst = make_instance(24, 32, 2, {"kind": "sparse", "s": 3, "scale": scale},
