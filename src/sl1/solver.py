@@ -22,9 +22,7 @@ Comp. 2020): once the sign pattern of u holds between two gap checks,
 the support of u and the rows that the dual step's l1-ball projection
 clips give one least-squares system on the active block of phi, once per
 pattern, whose point and dual bound join the gap test (the certificate
-counts these "active_set_solves").  After m iterations the LP
-restricted to the support is also solved exactly, once per sign pattern
-of u, as crossover does (Megiddo, 1991; "restricted_lps").  The
+counts these "active_set_solves"); the route calls no LP solver.  The
 primal-dual solver certifies optimality through an explicit duality
 gap: any q with ||phi.T @ q||_inf <= 1 gives the lower bound
 q @ y - epsilon * ||q||_inf on the optimal value, so a
@@ -490,17 +488,14 @@ def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> So
     p has not been tried, _active_set_solve guesses the active set from
     them: the support S of u and the rows where p is zero, on which the
     residual vanishes.  One least-squares solve on that block of phi gives
-    a primal point, offered as a candidate, and one gives a dual q whose
-    bound covers every column of phi.  A solve that has run m iterations
-    also solves the LP restricted to S exactly (solve_lp_exact), once per
-    sign pattern of u: its vertex, padded with zeros, is offered, and its
-    duals d give q = d[m:2m] - d[:m].  Either way the gap test decides on
-    the whole problem as before, so a wrong guess costs two least-squares
-    solves (or one LP) and stops nothing.  Hitting the iteration cap
-    returns status "iteration-limit" carrying the best feasible point
-    seen, if any.  The certificate counts the restarts, the rejected
-    steps, the restricted LPs ("restricted_lps") and the least-squares
-    finishes ("active_set_solves") run.
+    a primal point, offered as a candidate (polished like an iterate once
+    the solve has run m iterations), and one gives a dual q whose bound
+    covers every column of phi.  The gap test decides on the whole
+    problem as before, so a wrong guess costs two least-squares solves
+    and stops nothing.  Hitting the iteration cap returns status
+    "iteration-limit" carrying the best feasible point seen, if any.  The
+    certificate counts the restarts, the rejected steps and the
+    least-squares finishes ("active_set_solves") run.
     """
     phi, y, epsilon = _checked_problem(phi, y, epsilon)
     m, n = phi.shape
@@ -512,7 +507,7 @@ def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> So
         # zero is feasible and l1-minimal
         return SolverResult(np.zeros(n), 0.0, y_l1, STATUS_OPTIMAL, 0,
                             {"stop": "zero-feasible", "restarts": 0, "step_rejections": 0,
-                             "restricted_lps": 0, "active_set_solves": 0})
+                             "active_set_solves": 0})
 
     largest = float(np.max(np.abs(phi)))
     if largest <= 0.0:
@@ -541,15 +536,8 @@ def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> So
         # a gap below -tolerance shows an incumbent outside the ball
         return incumbent.u is not None and abs(gap) <= otol * abs(incumbent.obj)
 
-    def offer(u_c, q_c, lower, polish):
-        # a finish only offers a point and a dual bound to the gap test
-        incumbent.offer(u_c, phi @ u_c, polish)
-        lower = max(lower, _dual_lower_bound(q_c, phi.T @ q_c, y, epsilon))
-        return lower, incumbent.obj - lower
-
     pattern = None                 # the sign pattern of u at the previous check
     solved = set()                 # the (u, p) sign patterns solved on their active set
-    tried = set()                  # the patterns whose restricted LP has run
     stop = "cap"
 
     for it in range(1, cfg.max_iters + 1):
@@ -564,22 +552,16 @@ def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> So
             gap = incumbent.obj - lower
             settled, pattern = pattern, np.sign(u).astype(np.int8).tobytes()
             # the finish, once the sign pattern of u holds (an empty support
-            # holds no feasible point here): the active set's own point and
-            # dual, then, after m iterations, the exact LP on the support
+            # holds no feasible point here): it only offers the active set's
+            # own point and dual bound to the gap test
             if not closes(gap) and settled == pattern and u.any():
                 active = pattern + np.sign(p).astype(np.int8).tobytes()
                 if active not in solved:
                     solved.add(active)
                     u_active, q_active = _active_set_solve(phi, y, epsilon, u, q, p)
-                    lower, gap = offer(u_active, q_active, lower, polish)
-                if not closes(gap) and polish and pattern not in tried:
-                    tried.add(pattern)
-                    support = np.flatnonzero(u)
-                    exact = solve_lp_exact(lp_formulate(phi[:, support], y, epsilon))
-                    if exact.is_usable():
-                        duals = exact.certificate["duals"]
-                        lower, gap = offer(core.embed(exact.u_star, support, n),
-                                           duals[m:2 * m] - duals[:m], lower, polish)
+                    incumbent.offer(u_active, phi @ u_active, polish)
+                    lower = max(lower, _dual_lower_bound(q_active, phi.T @ q_active, y, epsilon))
+                    gap = incumbent.obj - lower
             if closes(gap):
                 stop = "gap"
                 break
@@ -614,7 +596,7 @@ def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> So
     status = STATUS_OPTIMAL if stop == "gap" else STATUS_ITER_LIMIT
 
     certificate = {"stop": stop, "restarts": restarts, "step_rejections": stepper.rejections,
-                   "restricted_lps": len(tried), "active_set_solves": len(solved)}
+                   "active_set_solves": len(solved)}
     if incumbent.u is not None:
         certificate["duality_gap"] = float(gap)
     return SolverResult(u_out, float(obj_out), float(res_out), status, it, certificate)

@@ -1,6 +1,6 @@
-"""Differential and metamorphic checks of the lp-exact route against
-HiGHS (scipy.optimize.linprog, which only the tests import), run on its
-own equality form of the program (oracles.highs_objective).
+"""Differential and metamorphic checks of both routes against HiGHS
+(scipy.optimize.linprog, which only the tests import), run on its own
+equality form of the program (oracles.highs_objective).
 """
 
 import numpy as np
@@ -46,3 +46,18 @@ def test_lp_exact_objective_invariant_under_column_permutation_and_sign_flips():
     assert not np.array_equal(perm, np.arange(128)) and np.any(signs < 0)
     assert abs(moved.objective - base.objective) <= 1e-9 * abs(base.objective)
     assert moved.residual_l1 <= inst.epsilon * (1 + 1e-9)
+
+
+# a compressible signal has no exact sparse support, so the first-order
+# route's finish guesses an active set that the optimum need not share
+@pytest.mark.parametrize("noise", [{"kind": "sparse", "s": 5, "scale": 1.0},
+                                   {"kind": "laplacian", "quantile": 0.9},
+                                   {"kind": "none"}], ids=["s5", "laplacian", "noiseless"])
+@pytest.mark.parametrize("seed", range(5))
+def test_first_order_matches_highs_on_compressible_signals(noise, seed):
+    inst = make_instance(128, 64, 8, noise, {"kind": "compressible", "p": 1.5},
+                         RngSpec(777, seed))
+    res = solver.solve_first_order(inst.phi, inst.y, inst.epsilon)
+    ref = highs_objective(inst.phi, inst.y, inst.epsilon)
+    assert res.status == "optimal"
+    assert abs(res.objective - ref) <= 1e-6 * abs(ref)

@@ -222,20 +222,6 @@ class TestLazyPrimal:
         assert len(lps) == 2
         self._assert_unbuilt_then_formula(lps)
 
-    def test_restricted_lp_of_the_first_order_finish(self, monkeypatch, tmp_path):
-        # the bundle of the CI fallback replay: 90 iterations, one
-        # restricted LP
-        bundle = str(tmp_path / "fallback")
-        assert main(["gen", "--out", bundle, "--n", "24", "--m", "32", "--k", "2",
-                     "--noise", "sparse", "--s", "3", "--seed", "10",
-                     "--amplitude", "uniform:0.5:1.0"]) == 0
-        inst = load_bundle(bundle)
-        lps = self._recording(monkeypatch)
-        res = solver.solve_first_order(inst.phi, inst.y, inst.epsilon)
-        assert res.status == "optimal" and res.certificate["restricted_lps"] >= 1
-        assert len(lps) == res.certificate["restricted_lps"]
-        self._assert_unbuilt_then_formula(lps)
-
     def test_assignment_before_a_read(self):
         lp = solver.lp_formulate(np.eye(2), [1.0, 2.0], 0.5)
         lp.a_ub = None
@@ -449,9 +435,9 @@ class TestFirstOrder:
 
     def test_no_svd_and_no_pinv_before_m_iterations(self, tmp_path, monkeypatch):
         # The step size needs no spectral norm, and the polish (the one
-        # factorisation of the whole phi) and the finish's exact LP wait for
-        # m iterations: this 256x128 bundle (phi is 128 x 256) stops before
-        # that, through the least-squares finish on the active block.
+        # factorisation of the whole phi) waits for m iterations: this
+        # 256x128 bundle (phi is 128 x 256) stops before that, through the
+        # least-squares finish on the active block.
         bundle = str(tmp_path / "mid")
         assert main(["gen", "--out", bundle, "--n", "256", "--m", "128", "--k", "5",
                      "--noise", "sparse", "--s", "5", "--seed", "11"]) == 0
@@ -467,8 +453,33 @@ class TestFirstOrder:
         res = solver.solve_first_order(inst.phi, inst.y, inst.epsilon)
         assert res.status == "optimal"
         assert res.iters < inst.phi.shape[0]
-        assert res.certificate["restricted_lps"] == 0
         assert res.certificate["active_set_solves"] >= 1
+
+    def test_no_simplex_past_m_iterations(self, tmp_path, monkeypatch):
+        # The bundle of the CI fallback replay and criterion-1 instances 0,
+        # 17 and 80 run past m iterations; the least-squares finish and the
+        # polish end them without the exact route.
+        bundle = str(tmp_path / "fallback")
+        assert main(["gen", "--out", bundle, "--n", "24", "--m", "32", "--k", "2",
+                     "--noise", "sparse", "--s", "3", "--seed", "10",
+                     "--amplitude", "uniform:0.5:1.0"]) == 0
+        cases = [load_bundle(bundle)] + [_criterion_1_instance(index) for index in (0, 17, 80)]
+        optima = [solver.solve_lp_exact(solver.lp_formulate(inst.phi, inst.y, inst.epsilon))
+                  for inst in cases]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the first-order route ran the exact route's simplex")
+
+        monkeypatch.setattr(simplex, "solve_canonical", refuse)
+        monkeypatch.setattr(solver, "solve_lp_exact", refuse)
+        for inst, lp in zip(cases, optima):
+            fo = solver.solve_first_order(inst.phi, inst.y, inst.epsilon)
+            assert fo.status == "optimal" and fo.certificate["stop"] == "gap"
+            assert fo.iters > inst.phi.shape[0]
+            assert abs(fo.objective - lp.objective) <= 1e-9 * lp.objective
+            slack = solver.residual_slack(inst.phi.shape[0], core.norm_lp(inst.y, 1),
+                                          inst.epsilon, solver.SolverConfig().feasibility_tol)
+            assert fo.residual_l1 <= inst.epsilon + slack
 
     @pytest.mark.parametrize("index", [17, 30, 90, 56])
     def test_criterion_1_tail_within_ten_thousand_iterations(self, index):
@@ -488,12 +499,12 @@ class TestFirstOrder:
     def test_finish_on_the_active_set(self):
         # Criterion-1 instance 17 (12 x 34) keeps the sign pattern of u
         # from about step 1,180 but closed its gap only at step 5,570 before
-        # the finish: the LP on that support now ends the solve.
+        # the finish: the least-squares finish on its active set, with the
+        # polish after m iterations, now ends the solve.
         inst = _criterion_1_instance(17)
         lp = solver.solve_lp_exact(solver.lp_formulate(inst.phi, inst.y, inst.epsilon))
         fo = solver.solve_first_order(inst.phi, inst.y, inst.epsilon)
         assert fo.status == "optimal" and fo.certificate["stop"] == "gap"
-        assert fo.certificate["restricted_lps"] >= 1
         assert fo.iters > inst.phi.shape[0]
         assert abs(fo.objective - lp.objective) <= 1e-9 * lp.objective
         assert fo.residual_l1 <= inst.epsilon + 1e-8
@@ -511,7 +522,6 @@ class TestFirstOrder:
         assert fo.status == "optimal" and fo.certificate["stop"] == "gap"
         assert fo.iters <= 40
         assert fo.certificate["active_set_solves"] >= 1
-        assert fo.certificate["restricted_lps"] == 0
         assert abs(fo.objective - lp.objective) <= 1e-9 * lp.objective
         assert fo.residual_l1 <= inst.epsilon + 1e-8
 
@@ -608,8 +618,9 @@ class TestFirstOrder:
     # 0-39; 19,449 while the restart check rebuilt the gap check's average
     # and its two products, 19,133 before the finish on the active set,
     # 5,609 while each gap check also offered the average iterate, 4,724
-    # before the least-squares finish
-    MATVECS = 3_886
+    # before the least-squares finish, 3,886 while the finish also solved
+    # the LP restricted to the support after m iterations
+    MATVECS = 4_711
 
     def test_matvec_count_pinned(self, monkeypatch):
         class CountingMatrix(np.ndarray):
