@@ -35,7 +35,7 @@ def recovery_error_bound(epsilon: float, m: int, e0: float) -> float:
     """The headline bound 8 * epsilon / M + 12 * e0."""
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
-    if epsilon < 0 or e0 < 0:
+    if not epsilon >= 0 or not e0 >= 0:  # NaN fails this test too
         raise ValueError("epsilon and e0 must be nonnegative")
     return 8.0 * (float(epsilon) / float(m)) + 12.0 * float(e0)
 
@@ -49,10 +49,10 @@ def recovery_error_bound_sharp(epsilon: float, m: int, e0: float, calibration: f
     theta = nu - (norm + cross).  Requires theta > 0."""
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
-    if epsilon < 0 or e0 < 0:
+    if not epsilon >= 0 or not e0 >= 0:  # NaN fails this test too
         raise ValueError("epsilon and e0 must be nonnegative")
     theta = calibration - (norm_dev + cross_dev)
-    if theta <= 0:
+    if not theta > 0:  # a NaN deviation fails this test too
         raise ValueError(
             f"deviation sum {norm_dev + cross_dev} reaches the calibration {calibration}; "
             "the bound hypothesis is violated")

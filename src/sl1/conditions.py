@@ -43,7 +43,7 @@ import numpy as np
 
 from . import core
 from .generators import gen_gaussian_matrix
-from .rng import CHILD_TAGS, RngSpec, Stream
+from .rng import RngSpec, Stream
 
 VERDICT_SATISFIED = "satisfied"
 VERDICT_VIOLATED = "violated"
@@ -105,8 +105,6 @@ class SearchBudget:
         counts = (self.supports, self.pairs, self.starts, self.steps, self.exhaustive_cap)
         if min(counts) < 0:
             raise ValueError("search budget counts must be nonnegative")
-        if max(self.pairs, self.exhaustive_cap) >= CHILD_TAGS ** 2:  # see _pair_draws
-            raise ValueError(f"pairs and exhaustive_cap must be below {CHILD_TAGS ** 2}")
         if not 0.0 <= self.overlap_share <= 1.0:
             raise ValueError(f"overlap_share must lie in [0, 1], got {self.overlap_share}")
 
@@ -561,17 +559,6 @@ def estimate_norm_deviation(phi, k: int, budget: SearchBudget, rng: RngSpec) -> 
                       exhaustive)
 
 
-def _pair_draws(spec, indices, starts, steps, width):
-    """The starts (row 0) and step directions (row t + 1) of the pairs
-    `indices`, as (pairs, steps + 1, width, starts): each pair's come from
-    one normal call on a stream of its own, keyed by its index under two
-    child levels, as one child tag ends below CHILD_TAGS."""
-    size = (steps + 1) * starts * width
-    draws = np.stack([Stream(spec.child(hi).child(lo)).normal(size)
-                      for hi, lo in (divmod(index, CHILD_TAGS) for index in indices)])
-    return draws.reshape(len(indices), steps + 1, starts, width).transpose(0, 1, 3, 2)
-
-
 def _sample_pair(stream, n, k, overlap_share, disjoint_ok):
     """Draw one (S_u, S_v) support pair; returns (S_u, S_v, family)."""
     use_overlap = not disjoint_ok or float(stream.uniform(1)[0]) < overlap_share
@@ -606,9 +593,10 @@ def estimate_cross_deviation(phi, k: int, budget: SearchBudget, rng: RngSpec) ->
     mode sweeps each pair's S_v alone), and an overlapping pair forces
     u = +-e_i (_cross_overlap_k1); v is the unit vector e_j of S_v = {j}.  At
     k >= 2 u climbs by random-direction steps: each pair's starts and
-    directions come from a stream keyed by the pair's index under
-    rng.child(1) (_pair_draws), so a larger pair budget extends a smaller
-    one exactly, and every (pair, start) climbs as a lane of one batch.
+    directions come from one normal call of a fixed size, made in pair
+    order on one stream, rng.child(1), so a larger pair budget extends a
+    smaller one exactly, and every (pair, start) climbs as a lane of one
+    batch.
     """
     phi = core.as_matrix(phi, "phi")
     m, n = phi.shape
@@ -669,9 +657,11 @@ def estimate_cross_deviation(phi, k: int, budget: SearchBudget, rng: RngSpec) ->
         return vals[:, None], evals, lambda i, _: (su[i], zu[i], sv[i], np.ones(1))
 
     def climb(block):
-        su, sv = map(np.array, zip(*(pair for _, pair in block)))
-        draws = _pair_draws(rng.child(1), [index for index, _ in block], budget.starts,
-                            budget.steps, 2 * k)
+        chosen, flat = zip(*block)
+        su, sv = map(np.array, zip(*chosen))
+        # (pair, steps + 1, 2k, starts): each pair's starts, then its step directions
+        draws = np.array(flat).reshape(len(block), budget.steps + 1, budget.starts, 2 * k)
+        draws = draws.transpose(0, 1, 3, 2)
         sel = (sv[:, :, None] == su[:, None, :]).astype(float)
         zu, vals, zv, used = _cross_lanes(_stacked(phi, su), _stacked(phi, sv), sel,
                                           draws[:, 0], draws[:, 1:])
@@ -682,7 +672,10 @@ def estimate_cross_deviation(phi, k: int, budget: SearchBudget, rng: RngSpec) ->
         size = _sweep_size(m, n) * (n - 2) if exhaustive else _sweep_size(m, 1)
         best, evals, visited = _search(_blocks(pairs(), size), exact)
     else:
-        best, evals, visited = _search(_blocks(enumerate(pairs())), climb)
+        climbs = Stream(rng.child(1))
+        size = (budget.steps + 1) * budget.starts * 2 * k
+        draws = ((pair, climbs.normal(size)) for pair in pairs())
+        best, evals, visited = _search(_blocks(draws), climb)
     witness = None
     if best is not None:
         su, zu, sv, zv = best
@@ -780,7 +773,7 @@ class SampleBoundParams:
     n: int = 1
 
     def __post_init__(self):
-        if self.c_sample <= 0:
+        if not self.c_sample > 0:  # NaN fails this test too
             raise ValueError("c_sample must be positive")
         if not 0.0 < self.delta <= 1.0:
             raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
@@ -802,7 +795,7 @@ def concentration_probability(c_prob: float, delta: float, m: int) -> float:
     The clamp below 1 matters once the exponential underflows the
     float64 resolution of 1.
     """
-    if c_prob <= 0:
+    if not c_prob > 0:  # NaN fails this test too
         raise ValueError("c_prob must be positive")
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
@@ -840,7 +833,7 @@ def concentration_check(n: int, m: int, k: int, delta: float, trials: int,
     k = _checked_sparsity(k, n)
     if m < 1 or trials < 1 or samples_per_trial < 1:
         raise ValueError("m, trials and samples_per_trial must be positive")
-    if delta <= 0:
+    if not delta > 0:  # NaN fails this test too
         raise ValueError(f"delta must be positive, got {delta}")
     nu = half_normal_mean()
 

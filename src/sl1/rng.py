@@ -19,7 +19,7 @@ import numpy as np
 SAMPLER_NAME = "philox-u53-boxmuller-v1"
 
 _CHILD_STRIDE = 1 << 16
-CHILD_TAGS = _CHILD_STRIDE - 1  # child() takes tags 0 .. CHILD_TAGS - 1
+_CHILD_TAGS = _CHILD_STRIDE - 1  # child() takes tags 0 .. _CHILD_TAGS - 1
 _U64 = 1 << 64
 
 
@@ -52,8 +52,8 @@ class RngSpec:
         birthday chance, even when user-chosen root streams interleave
         with derived ones.
         """
-        if not isinstance(tag, int) or not 0 <= tag < CHILD_TAGS:
-            raise ValueError(f"child tag must be in [0, {CHILD_TAGS - 1}], got {tag!r}")
+        if not isinstance(tag, int) or not 0 <= tag < _CHILD_TAGS:
+            raise ValueError(f"child tag must be in [0, {_CHILD_TAGS - 1}], got {tag!r}")
         return RngSpec(self.seed,
                        _splitmix64((self.stream * _CHILD_STRIDE + tag + 1) % _U64))
 
