@@ -120,6 +120,25 @@ def test_criterion_1_first_order_bytes_pinned(small_scale_solves):
     assert digest.hexdigest() == CRITERION_1_FIRST_ORDER
 
 
+# sha256 over the criterion-1 instances, in order, of each lp-exact
+# to_json_dict() and then the trace_recovery(...).as_dict() of the lp-exact
+# and the first-order result under the placeholder estimate, each dumped
+# with sorted keys (x86-64 Linux, numpy 2.4)
+CRITERION_1_EXACT_AND_TRACES = "c0e3cc729ba5d6f08c704b932d505b9abfd4cb46bd5509972b5873e841ea3576"
+
+
+def test_criterion_1_exact_and_trace_bytes_pinned(small_scale_solves):
+    runs, _ = small_scale_solves
+    digest = hashlib.sha256()
+    for inst, lp, fo in runs:
+        digest.update(json.dumps(lp.to_json_dict(), sort_keys=True).encode())
+        estimate = _placeholder_estimate(inst.k)
+        for result in (lp, fo):
+            trace = analysis.trace_recovery(inst, result, estimate)
+            digest.update(json.dumps(trace.as_dict(), sort_keys=True).encode())
+    assert digest.hexdigest() == CRITERION_1_EXACT_AND_TRACES
+
+
 def test_criterion_2_lp_matches_vertex_enumeration(micro_scale_solves):
     worst = 0.0
     ok = True
