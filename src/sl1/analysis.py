@@ -33,7 +33,7 @@ TRIALS_CSV_HEADER = "N,M,K,s,eps,seed,status,err_l2,e0,bound,bound_holds,iters,r
 
 def recovery_error_bound(epsilon: float, m: int, e0: float) -> float:
     """The headline bound 8 * epsilon / M + 12 * e0."""
-    if m < 1:
+    if not m >= 1:  # NaN fails this test too
         raise ValueError(f"m must be positive, got {m}")
     if not epsilon >= 0 or not e0 >= 0:  # NaN fails this test too
         raise ValueError("epsilon and e0 must be nonnegative")
@@ -47,7 +47,7 @@ def recovery_error_bound_sharp(epsilon: float, m: int, e0: float, calibration: f
         (4/theta) * epsilon/M + 4 * (nu + cross - norm)/theta * e0,
 
     theta = nu - (norm + cross).  Requires theta > 0."""
-    if m < 1:
+    if not m >= 1:  # NaN fails this test too
         raise ValueError(f"m must be positive, got {m}")
     if not epsilon >= 0 or not e0 >= 0:  # NaN fails this test too
         raise ValueError("epsilon and e0 must be nonnegative")
@@ -151,6 +151,26 @@ def _row_layout(rows: int) -> tuple:
             + ("uses the estimated norm deviation", ""))
 
 
+def _checked_trace_inputs(instance: SparseInstance, result: SolverResult) -> tuple:
+    """(phi, x, y, u_star, k) of one solve, or ValueError unless x, y and
+    u_star are finite vectors, phi is a finite len(y) x len(x) matrix,
+    u_star has the length of x and 1 <= k <= len(x).  This is the tracer's
+    one pass over its inputs: the core kernels it then calls check nothing."""
+    x = core.as_vector(instance.x, "x")
+    y = core.as_vector(instance.y, "y")
+    u = core.as_vector(result.u_star, "u_star")
+    n, m, k = x.size, y.size, int(instance.k)
+    phi = np.asarray(instance.phi, dtype=np.float64)
+    if not m or phi.shape != (m, n) or not np.isfinite(phi).all():
+        raise ValueError(f"phi must be a finite {m}x{n} matrix with m >= 1, "
+                         f"got shape {phi.shape}")
+    if u.size != n:
+        raise ValueError(f"u_star has length {u.size} but x has length {n}")
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}], got {k}")
+    return phi, x, y, u, k
+
+
 def trace_recovery(instance: SparseInstance, result: SolverResult,
                    estimate: ConditionEstimate,
                    feasibility_tol: float = SolverConfig.feasibility_tol) -> RecoveryTrace:
@@ -162,23 +182,20 @@ def trace_recovery(instance: SparseInstance, result: SolverResult,
     (estimated) deviation constants and may legitimately fail when those
     underestimate the true worst case.
     """
-    phi, x, y = instance.phi, instance.x, instance.y
-    eps, k, m = instance.epsilon, instance.k, instance.m
-    u = core.as_vector(result.u_star, "u_star")
-    residual = core.norm_lp(y - core.mat_vec(phi, u), 1)
-    slack = residual_slack(m, core.norm_lp(y, 1), eps, feasibility_tol)
+    phi, x, y, u, k = _checked_trace_inputs(instance, result)
+    eps, m = instance.epsilon, y.size
+    residual = core._l1(y - core._mat_vec(phi, u))
+    slack = residual_slack(m, core._l1(y), eps, feasibility_tol)
     if residual > eps + slack:
         raise ValueError(f"solution is infeasible: residual {residual} exceeds epsilon {eps} "
                          f"+ slack {slack}")
 
     h = u - x
-    t0 = core.hard_support(x, k)
-    part = core.partition_support(h, t0, k)
-    t01 = part.t01
-    h01 = core.restrict(h, t01)
+    part = core._partition(h, core._hard_support(x, k), k)
+    h01 = core._restrict(h, part.t01)
     h01c = h - h01
-    n01 = core.norm_lp(h01, 2)
-    n01c = core.norm_lp(h01c, 2)
+    n01 = core._l2(h01)
+    n01c = core._l2(h01c)
     tail = part.tail_blocks()
     # the tail blocks side by side: h restricted to each block as a row,
     # and each block's columns and values padded with zeros to k
@@ -190,10 +207,10 @@ def trace_recovery(instance: SparseInstance, result: SolverResult,
         vals[b, :blk.size] = restricted[b, blk] = h[blk]
     tail_norms = np.sqrt((restricted * restricted).sum(axis=1))
     tail_sum = float(sum(tail_norms.tolist()))
-    e0 = core.compressibility_error(x, k)
-    phi_h = core.mat_vec(phi, h)
-    phi_h01 = core.mat_vec(phi, h01)
-    signs01 = core.sign_vec(phi_h01)
+    e0 = core._compressibility_error(x, k)
+    phi_h = core._mat_vec(phi, h)
+    phi_h01 = core._mat_vec(phi, h01)
+    signs01 = core._sign_vec(phi_h01)
     # phi @ (each restricted block), summed left to right over the block's
     # columns as core.mat_vec sums over all of them: the products it adds
     # outside the block are zeros, which change no nonzero sum
@@ -209,8 +226,8 @@ def trace_recovery(instance: SparseInstance, result: SolverResult,
     # valid form for any feasible solution carries the measured slack
     # (zero for an exact minimizer) plus a rigorous bound on the
     # rounding of the two l1-norm evaluations themselves.
-    u_mass = core.norm_lp(u, 1)
-    x_mass = core.norm_lp(x, 1)
+    u_mass = core._l1(u)
+    x_mass = core._l1(x)
     fp_budget = 8.0 * np.finfo(float).eps * x.size * max(1.0, u_mass, x_mass)
     minimality_slack = max(0.0, u_mass - x_mass) + fp_budget
 
@@ -223,15 +240,15 @@ def trace_recovery(instance: SparseInstance, result: SolverResult,
         (math.hypot(n01, n01c), n01 + n01c),
         (n01c, tail_sum),
         (tail_sum, n01 + 2.0 * e0 + minimality_slack / math.sqrt(k)),
-        (float(np.sum(signs01 * phi_h)), float(np.sum(np.abs(phi_h)))),
-        (float(np.sum(np.abs(phi_h))), 2.0 * eps + 2.0 * feasibility_tol),
+        (float(np.add.reduce(signs01 * phi_h)), core._l1(phi_h)),
+        (core._l1(phi_h), 2.0 * eps + 2.0 * feasibility_tol),
     ]
     sides[5:-2, 0] = cross
     sides[5:-2, 1] = cross_bound
-    sides[-2] = (m * (nu - estimate.norm_dev_lower) * n01, float(np.sum(np.abs(phi_h01))))
-    sides[-1] = (core.norm_lp(h, 2), recovery_error_bound(eps, m, e0))
+    sides[-2] = (m * (nu - estimate.norm_dev_lower) * n01, core._l1(phi_h01))
+    sides[-1] = (core._l2(h), recovery_error_bound(eps, m, e0))
 
-    inputs = (instance.n, m, k, eps, e0, nu, estimate.norm_dev_lower,
+    inputs = (x.size, m, k, eps, e0, nu, estimate.norm_dev_lower,
               estimate.cross_dev_lower, feasibility_tol, residual, result.status)
     return RecoveryTrace(sides=sides, minimality_slack=minimality_slack,
                          unconditional=len(_HEAD_ROWS), input_values=inputs, condition=verdict,

@@ -799,7 +799,7 @@ def concentration_probability(c_prob: float, delta: float, m: int) -> float:
         raise ValueError("c_prob must be positive")
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    if m < 1:
+    if not m >= 1:  # NaN fails this test too
         raise ValueError(f"m must be positive, got {m}")
     value = 1.0 - 8.0 * math.exp(-c_prob * delta * delta * m)
     return min(max(0.0, value), math.nextafter(1.0, 0.0))

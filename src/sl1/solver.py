@@ -105,7 +105,11 @@ class SolverResult:
 
 
 def residual_l1(phi, y, u) -> float:
-    return float(np.sum(np.abs(y - phi @ u)))
+    return core._l1(y - phi @ u)
+
+
+def _max_abs(a):
+    return np.maximum.reduce(np.absolute(a), axis=None)
 
 
 def residual_slack(m: int, y_l1: float, epsilon: float, feasibility_tol: float) -> float:
@@ -116,7 +120,9 @@ def residual_slack(m: int, y_l1: float, epsilon: float, feasibility_tol: float) 
 
 
 def _checked_problem(phi, y, epsilon) -> tuple:
-    """(phi, y, float(epsilon)), or ValueError unless y fits phi and epsilon >= 0."""
+    """(phi, y, float(epsilon)), or ValueError unless phi and y are finite,
+    y fits phi and epsilon >= 0: the one check of a solver's inputs, after
+    which both routes call core's unchecked kernels."""
     phi = core.as_matrix(phi, "phi")
     y = core.as_vector(y, "y")
     epsilon = float(epsilon)
@@ -137,13 +143,21 @@ def soft_threshold(v, tau: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
 
 
+@functools.lru_cache(maxsize=16)
+def _ranks(size: int) -> np.ndarray:
+    """1, 2, ..., size, one read-only array per size shared by the searches."""
+    ranks = np.arange(1, size + 1)
+    ranks.flags.writeable = False
+    return ranks
+
+
 def _threshold_search(dropped, radius):
     """The level theta with sum(max(dropped - theta, 0)) = radius, for
     magnitudes sorted in decreasing order, and the search's leading
     candidate, which is radius in exact arithmetic; theta is None when
     rounding leaves no candidate positive."""
-    cumulative = dropped.cumsum() - radius
-    candidates = dropped - cumulative / np.arange(1, dropped.size + 1)
+    cumulative = np.add.accumulate(dropped) - radius
+    candidates = dropped - cumulative / _ranks(dropped.size)
     positive = (candidates > 0).nonzero()[0]
     if not positive.size:
         return None, candidates[0]
@@ -159,15 +173,17 @@ def project_l1_ball(v, radius: float) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if radius == 0.0:
         return np.zeros_like(v)
-    mags = np.abs(v)
-    if mags.sum() <= radius:
+    mags = np.absolute(v)
+    if np.add.reduce(mags) <= radius:
         return v.copy()
-    dropped = np.sort(mags)[::-1]
+    dropped = mags.copy()
+    dropped.sort()  # the method: np.sort's wrapper costs as much as a short sort
+    dropped = dropped[::-1]
     theta, lead = _threshold_search(dropped, radius)
     if theta is not None:
         out = np.sign(v) * np.maximum(mags - theta, 0.0)
         if (abs(lead - radius) <= 1e-13 * radius
-                or core.norm_lp(out, 1) <= radius * (1.0 + 1e-12)):
+                or core._l1(out) <= radius * (1.0 + 1e-12)):
             return out
     # The largest magnitudes swamped the radius in rounding, so the search
     # lost its leading candidate or overshot the ball: search again
@@ -261,7 +277,7 @@ def solve_lp_exact(lp: LpProblem, config: SolverConfig = None) -> SolverResult:
     Its right-hand side (1, 0) is nonnegative, so the built-in simplex
     method starts it feasible at the origin, on a (2n + 2m + 1) x (m + 2)
     table (the cost row last).  Only phi, y and epsilon of `lp` are
-    read.  The primal u comes back from the duals of the first 2n rows
+    read, and they are trusted as lp_formulate checked them.  The primal u comes back from the duals of the first 2n rows
     (u+ and u-), and the certificate keeps the duals of lp_formulate's
     2m + 1 rows: -(max(w, 0), max(-w, 0), lam).  An unbounded dual means
     the residual ball is out of reach ("infeasible-detected"); a solve
@@ -276,8 +292,8 @@ def solve_lp_exact(lp: LpProblem, config: SolverConfig = None) -> SolverResult:
     """
     cfg = config if config is not None else SolverConfig(method=METHOD_LP)
     m, n = lp.phi.shape
-    s_phi = _power_of_two_below(float(abs(lp.phi).max()))
-    s_y = _power_of_two_below(core.norm_lp(lp.y, 1))
+    s_phi = _power_of_two_below(float(_max_abs(lp.phi)))
+    s_y = _power_of_two_below(core._l1(lp.y))
     dual_a = np.zeros((2 * n + 2 * m, m + 1))
     phit = dual_a[:n, :m]
     np.divide(lp.phi.T, s_phi, out=phit)
@@ -307,7 +323,7 @@ def solve_lp_exact(lp: LpProblem, config: SolverConfig = None) -> SolverResult:
     }
     return SolverResult(
         u_star=u,
-        objective=core.norm_lp(u, 1),
+        objective=core._l1(u),
         residual_l1=residual_l1(lp.phi, lp.y, u),
         status=STATUS_OPTIMAL,
         iters=res.pivots,
@@ -317,9 +333,8 @@ def solve_lp_exact(lp: LpProblem, config: SolverConfig = None) -> SolverResult:
 
 def _dual_lower_bound(q, phit_q, y, epsilon) -> float:
     """Lower bound on the optimum from an arbitrary dual vector q."""
-    scale = float(abs(phit_q).max()) * (1.0 + 1e-12)
-    scale = max(1.0, scale)
-    return (abs(float(q @ y)) - epsilon * float(abs(q).max())) / scale
+    scale = max(1.0, float(_max_abs(phit_q)) * (1.0 + 1e-12))
+    return (abs(float(q @ y)) - epsilon * float(_max_abs(q))) / scale
 
 
 class _FeasibilityPolish:
@@ -377,8 +392,8 @@ def _active_set_solve(phi, y, epsilon, u, q, p):
     if rho.size:
         rows = np.vstack([rows, rho @ block[free]])
         rhs = np.append(rhs, rho @ y[free] - epsilon)
-        start = np.append(start, abs(q[free]).max())
-    u_new = core.embed(np.linalg.lstsq(rows, rhs, rcond=None)[0], support, u.size)
+        start = np.append(start, _max_abs(q[free]))
+    u_new = core._embed(np.linalg.lstsq(rows, rhs, rcond=None)[0], support, u.size)
     x = start + np.linalg.lstsq(rows.T, np.sign(u[support]) - rows.T @ start, rcond=None)[0]
     q_new = np.empty(q.size)
     q_new[clipped] = x[:clipped.sum()]
@@ -431,8 +446,8 @@ class _Incumbent:
 
     def offer(self, u, phi_u, polish):
         r = self.y - phi_u
-        res = float(abs(r).sum())
-        obj = core.norm_lp(u, 1)
+        res = core._l1(r)
+        obj = core._l1(u)
         eps = self.epsilon
         if res <= eps + self.ftol and obj < self.obj:
             self.u, self.obj, self.res = u.copy(), obj, res
@@ -443,7 +458,7 @@ class _Incumbent:
                 self._polish = _FeasibilityPolish(self.phi)
             cand = self._polish.candidate(u, r, eps)
             cand_res = residual_l1(self.phi, self.y, cand)
-            cand_obj = core.norm_lp(cand, 1)
+            cand_obj = core._l1(cand)
             if cand_res <= eps + self.ftol and cand_obj < self.obj:
                 self.u, self.obj, self.res = cand, cand_obj, cand_res
 
@@ -502,19 +517,19 @@ def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> So
     cfg = config if config is not None else SolverConfig()
     otol = cfg.objective_tol
 
-    y_l1 = core.norm_lp(y, 1)
+    y_l1 = core._l1(y)
     if y_l1 <= epsilon:
         # zero is feasible and l1-minimal
         return SolverResult(np.zeros(n), 0.0, y_l1, STATUS_OPTIMAL, 0,
                             {"stop": "zero-feasible", "restarts": 0, "step_rejections": 0,
                              "active_set_solves": 0})
 
-    largest = float(np.max(np.abs(phi)))
+    largest = float(_max_abs(phi))
     if largest <= 0.0:
         # phi is the zero matrix and y is outside the residual ball
         return SolverResult(np.zeros(n), math.inf, y_l1, STATUS_INFEASIBLE, 0, None)
     stepper = _AdaptiveStep(phi, y, epsilon, 1.0 / largest)
-    weight = math.sqrt(n) / core.norm_lp(y, 2)
+    weight = math.sqrt(n) / core._l2(y)
 
     def fixed_point_residual(du, dq):
         return math.sqrt(weight * float(du @ du) + float(dq @ dq) / weight)
@@ -575,8 +590,8 @@ def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> So
         if (residual <= RESTART_SUFFICIENT * start_residual
                 or checked_residual < residual <= RESTART_NECESSARY * start_residual
                 or run >= RESTART_ARTIFICIAL * it):
-            du = core.norm_lp(u - start_u, 2)
-            dq = core.norm_lp(q - start_q, 2)
+            du = core._l2(u - start_u)
+            dq = core._l2(q - start_q)
             if du > 1e-10 and dq > 1e-10:
                 weight = math.sqrt(weight * dq / du)
             start_u, start_q, start_residual = u, q, residual
@@ -591,7 +606,7 @@ def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> So
         u_out, obj_out, res_out = incumbent.u, incumbent.obj, incumbent.res
     else:
         u_out = u
-        obj_out = core.norm_lp(u, 1)
+        obj_out = core._l1(u)
         res_out = residual_l1(phi, y, u)
     status = STATUS_OPTIMAL if stop == "gap" else STATUS_ITER_LIMIT
 

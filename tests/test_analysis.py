@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from sl1.solver import (METHODS, SolverConfig, SolverResult, lp_formulate, solve
                         solve_first_order, solve_lp_exact)
 
 from oracles import trace_tail_rows
-from test_solver import _criterion_1_instance
+from test_solver import _criterion_1_instance, _random_instance, _record_checks
 
 NU = math.sqrt(2.0 / math.pi)
 
@@ -149,6 +150,43 @@ class TestTrace:
                                               SolverConfig.feasibility_tol)
                 assert residual <= inst.epsilon + slack, (seed, method, residual - inst.epsilon)
         assert solved == 20
+
+    @pytest.mark.parametrize("case", ["nan-u", "inf-u", "short-u", "long-u", "k-0", "k-above-n",
+                                      "nan-phi", "phi-shape"])
+    def test_malformed_input_rejected(self, case):
+        inst = self._instance(3)
+        result = solve_lp_exact(lp_formulate(inst.phi, inst.y, inst.epsilon))
+        u = result.u_star.copy()
+        if case in ("nan-u", "inf-u"):
+            u[1] = math.nan if case == "nan-u" else math.inf
+        elif case in ("short-u", "long-u"):
+            u = u[:-1] if case == "short-u" else np.append(u, 0.0)
+        elif case in ("k-0", "k-above-n"):
+            inst = dataclasses.replace(inst, k=0 if case == "k-0" else inst.n + 1)
+        elif case == "nan-phi":
+            phi = inst.phi.copy()
+            phi[0, 0] = math.nan
+            inst = dataclasses.replace(inst, phi=phi)
+        else:
+            inst = dataclasses.replace(inst, phi=inst.phi[:, :-1])
+        result = dataclasses.replace(result, u_star=u)
+        with pytest.raises(ValueError):
+            analysis.trace_recovery(inst, result, _estimate(k=2))
+
+    def test_inputs_checked_once(self, monkeypatch):
+        # x, y and u_star are checked once and phi in place at the entry,
+        # however many tail blocks the trace has (seed 0 of
+        # test_solver._random_instance: 10 tail blocks; seed 1: 2)
+        checks = _record_checks(monkeypatch)
+        blocks = []
+        for seed in (0, 1):
+            inst = _random_instance(seed)
+            result = solve_lp_exact(lp_formulate(inst.phi, inst.y, inst.epsilon))
+            checks.clear()
+            trace = analysis.trace_recovery(inst, result, _estimate(k=inst.k))
+            blocks.append(len(trace.sides) - 7)
+            assert sorted(checks) == ["u_star", "x", "y"], seed
+        assert blocks == [10, 2]
 
     def test_infeasible_result_rejected(self):
         inst = self._instance(3)

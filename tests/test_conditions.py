@@ -621,6 +621,15 @@ class TestLemmaFormulas:
         with pytest.raises(ValueError):
             call()
 
+    @pytest.mark.parametrize("call", [
+        lambda: conditions.concentration_probability(1.0, 0.5, math.nan),
+        lambda: analysis.recovery_error_bound(1.0, math.nan, 0.0),
+        lambda: analysis.recovery_error_bound_sharp(1.0, math.nan, 0.0, NU, 0.0, 0.0),
+    ], ids=["concentration_probability", "bound", "sharp"])
+    def test_nan_m_rejected(self, call):
+        with pytest.raises(ValueError, match="m must be positive"):
+            call()
+
     def test_probability_bound_monotone_in_m(self):
         values = [conditions.concentration_probability(1.0, 0.5, m)
                   for m in (1, 10, 50, 200)]

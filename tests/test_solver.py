@@ -22,6 +22,21 @@ def _random_instance(seed, n_max=12, m_max=12):
                          RngSpec(7000 + seed))
 
 
+def _record_checks(monkeypatch) -> list:
+    """The names that core.as_vector and core.as_matrix are called with
+    from now on ("" for a call without one)."""
+    names = []
+    for attr in ("as_vector", "as_matrix"):
+        check = getattr(core, attr)
+
+        def recorded(a, name="", check=check):
+            names.append(name)
+            return check(a, name)
+
+        monkeypatch.setattr(core, attr, recorded)
+    return names
+
+
 def _criterion_1_instance(index):
     """Instance `index` of the criterion-1 set (tests/test_acceptance.py)."""
     st = Stream(RngSpec(31415, index))
@@ -758,11 +773,28 @@ class TestInputChecks:
         (lambda: solver.solve_first_order(np.eye(2), [1.0, 2.0], math.nan), "epsilon"),
         (lambda: solver.lp_formulate(np.eye(2), [1.0, 2.0], math.nan), "epsilon"),
         (lambda: solver.project_l1_ball([1.0, -2.0], math.nan), "radius"),
+        (lambda: solver.solve_first_order([[1.0, math.nan]], [1.0], 0.5), "phi contains"),
+        (lambda: solver.solve_first_order([[1.0, 0.0]], [math.inf], 0.5), "y contains"),
+        (lambda: solver.lp_formulate([[math.inf, 0.0]], [1.0], 0.5), "phi contains"),
+        (lambda: solver.lp_formulate([[1.0, 0.0]], [math.nan], 0.5), "y contains"),
     ], ids=["max-iters-0", "y-length", "first-order-nan-epsilon", "lp-nan-epsilon",
-            "nan-radius"])
+            "nan-radius", "first-order-nan-phi", "first-order-inf-y", "lp-inf-phi", "lp-nan-y"])
     def test_rejected_with_named_check(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()
+
+    def test_first_order_checks_its_inputs_once(self, monkeypatch):
+        # phi and y are checked at the entry; the loop, the finish and the
+        # polish trust them, so the count does not grow with the iterations
+        # (seed 1: 20 iterations; seed 3: 300, with restarts and the polish)
+        checks = _record_checks(monkeypatch)
+        counts = []
+        for seed in (1, 3):
+            inst = _random_instance(seed)
+            checks.clear()
+            iters = solver.solve_first_order(inst.phi, inst.y, inst.epsilon).iters
+            counts.append((iters, sorted(checks)))
+        assert counts == [(20, ["phi", "y"]), (300, ["phi", "y"])]
 
 
 class TestResultSerialization:
