@@ -218,15 +218,20 @@ class LpProblem:
         c = (1_n, 1_n, 0_m),   b_ub = (-y, y, epsilon),
         a_ub = [[-phi, phi, -I], [phi, -phi, -I], [0, 0, 1_m^T]].
 
-    c, a_ub and b_ub are built on first read and cached (assigning to
-    them replaces the cached array); solve_lp_exact reads only phi, y and
-    epsilon, so an exact solve never builds them.  The duals of its
-    certificate are those of the 2m + 1 rows of a_ub.
+    phi, y and epsilon are checked when the problem is made
+    (_checked_problem), so solve_lp_exact trusts them.  c, a_ub and b_ub
+    are built on first read and cached (assigning to them replaces the
+    cached array); solve_lp_exact reads only phi, y and epsilon, so an
+    exact solve never builds them.  The duals of its certificate are
+    those of the 2m + 1 rows of a_ub.
     """
 
     phi: np.ndarray
     y: np.ndarray
     epsilon: float
+
+    def __post_init__(self):
+        self.phi, self.y, self.epsilon = _checked_problem(self.phi, self.y, self.epsilon)
 
     @functools.cached_property
     def c(self) -> np.ndarray:
@@ -258,7 +263,7 @@ class LpProblem:
 
 
 def lp_formulate(phi, y, epsilon: float) -> LpProblem:
-    return LpProblem(*_checked_problem(phi, y, epsilon))
+    return LpProblem(phi, y, epsilon)
 
 
 def _power_of_two_below(value: float) -> float:
@@ -277,7 +282,7 @@ def solve_lp_exact(lp: LpProblem, config: SolverConfig = None) -> SolverResult:
     Its right-hand side (1, 0) is nonnegative, so the built-in simplex
     method starts it feasible at the origin, on a (2n + 2m + 1) x (m + 2)
     table (the cost row last).  Only phi, y and epsilon of `lp` are
-    read, and they are trusted as lp_formulate checked them.  The primal u comes back from the duals of the first 2n rows
+    read, and LpProblem checked them when it was made.  The primal u comes back from the duals of the first 2n rows
     (u+ and u-), and the certificate keeps the duals of lp_formulate's
     2m + 1 rows: -(max(w, 0), max(-w, 0), lam).  An unbounded dual means
     the residual ball is out of reach ("infeasible-detected"); a solve

@@ -777,8 +777,10 @@ class TestInputChecks:
         (lambda: solver.solve_first_order([[1.0, 0.0]], [math.inf], 0.5), "y contains"),
         (lambda: solver.lp_formulate([[math.inf, 0.0]], [1.0], 0.5), "phi contains"),
         (lambda: solver.lp_formulate([[1.0, 0.0]], [math.nan], 0.5), "y contains"),
+        (lambda: solver.LpProblem(np.eye(2), [1.0, math.nan], 0.5), "y contains"),
     ], ids=["max-iters-0", "y-length", "first-order-nan-epsilon", "lp-nan-epsilon",
-            "nan-radius", "first-order-nan-phi", "first-order-inf-y", "lp-inf-phi", "lp-nan-y"])
+            "nan-radius", "first-order-nan-phi", "first-order-inf-y", "lp-inf-phi", "lp-nan-y",
+            "lp-problem-nan-y"])
     def test_rejected_with_named_check(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()
