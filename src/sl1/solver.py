@@ -282,9 +282,10 @@ def solve_lp_exact(lp: LpProblem, config: SolverConfig = None) -> SolverResult:
     Its right-hand side (1, 0) is nonnegative, so the built-in simplex
     method starts it feasible at the origin, on a (2n + 2m + 1) x (m + 2)
     table (the cost row last).  Only phi, y and epsilon of `lp` are
-    read, and LpProblem checked them when it was made.  The primal u comes back from the duals of the first 2n rows
-    (u+ and u-), and the certificate keeps the duals of lp_formulate's
-    2m + 1 rows: -(max(w, 0), max(-w, 0), lam).  An unbounded dual means
+    read, and LpProblem checked them when it was made.  The primal u
+    comes back from the duals of the first 2n rows (u+ and u-), and the
+    certificate keeps the duals of lp_formulate's 2m + 1 rows:
+    -(max(w, 0), max(-w, 0), lam).  An unbounded dual means
     the residual ball is out of reach ("infeasible-detected"); a solve
     capped at 10 * max_iters pivots carries no iterate
     ("iteration-limit").
