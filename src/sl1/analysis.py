@@ -212,8 +212,9 @@ def trace_recovery(instance: SparseInstance, result: SolverResult,
     phi_h01 = core._mat_vec(phi, h01)
     signs01 = core._sign_vec(phi_h01)
     # phi @ (each restricted block), summed left to right over the block's
-    # columns as core.mat_vec sums over all of them: the products it adds
-    # outside the block are zeros, which change no nonzero sum
+    # columns as core.mat_vec sums over the nonzero entries of the block's
+    # vector: a zero entry or a padding slot adds a product of +-0, which
+    # changes no nonzero sum
     products = phi[:, cols] * vals
     np.add.accumulate(products, axis=2, out=products)
     phi_tail = products[:, :, -1].T + 0.0
@@ -365,6 +366,7 @@ class GridResult:
         for ci, (m, k, s) in enumerate(self.spec.cells()):
             cell = self.records[ci * per_cell:(ci + 1) * per_cell]
             errs = sorted(r.err_l2 for r in cell if not math.isnan(r.err_l2))
+            iters = sorted(r.iters for r in cell)
             count = len(cell) or math.nan  # rates of a cell without trials are nan (null)
             summaries.append({
                 "m": m, "k": k, "s": s, "trials": len(cell),
@@ -373,7 +375,10 @@ class GridResult:
                 "bound_rate": sum(r.bound_holds for r in cell) / count,
                 "exact_rate": sum(r.exact for r in cell) / count,
                 "solved_rate": sum(r.status == STATUS_OPTIMAL for r in cell) / count,
-                "mean_iters": sum(r.iters for r in cell) / count,
+                "mean_iters": sum(iters) / count,
+                "iters_p50": _quantile(iters, 0.5),
+                "iters_p90": _quantile(iters, 0.9),
+                "iters_max": iters[-1] if iters else math.nan,
             })
         return summaries
 

@@ -224,7 +224,10 @@ def partition_support(h, t0, k: int) -> SupportPartition:
 
 
 def _mat_vec(a, v) -> np.ndarray:
-    work = a * v
+    support = np.flatnonzero(v)
+    if not support.size:
+        return np.zeros(a.shape[0])
+    work = a[:, support] * v[support]
     np.add.accumulate(work, axis=1, out=work)
     return work[:, -1] + 0.0
 
@@ -233,9 +236,11 @@ def mat_vec(a, v) -> np.ndarray:
     """Matrix-vector product with a fixed left-to-right accumulation
     order per row, for bit-reproducible results.
 
-    Each row's products a_ij * v_j are summed by ``np.add.accumulate``,
-    which adds them one at a time in column order; the final ``+ 0.0``
-    turns a zero sum's sign positive, as a sum started at 0.0 would be."""
+    Each row's products a_ij * v_j over the nonzero v_j are summed by
+    ``np.add.accumulate``, which adds them one at a time in column order;
+    the final ``+ 0.0`` turns a zero sum's sign positive, as a sum started
+    at 0.0 would be.  The bytes are those of the sum over every column:
+    the products skipped are +-0 and change no nonzero partial sum."""
     a = as_matrix(a)
     v = as_vector(v)
     m, n = a.shape

@@ -18,14 +18,14 @@ of phi, except for the feasibility polish late in a long solve (after m
 iterations).  Restarted PDHG settles on the optimal active set long
 before its gap closes (Lu and Yang, 2023), so the solve finishes on that
 set as the solution polishing of OSQP does (Stellato et al., Math. Prog.
-Comp. 2020): once the sign pattern of u holds between two gap checks,
-the support of u and the rows that the dual step's l1-ball projection
-clips give one least-squares system on the active block of phi, once per
-pattern, whose point and dual bound join the gap test (the certificate
-counts these "active_set_solves"); the route calls no LP solver.  The
-primal-dual solver certifies optimality through an explicit duality
-gap: any q with ||phi.T @ q||_inf <= 1 gives the lower bound
-q @ y - epsilon * ||q||_inf on the optimal value, so a
+Comp. 2020): once the sign pattern of u has held for SETTLE consecutive
+iterations, the support of u and the rows that the dual step's l1-ball
+projection clips give one least-squares system on the active block of
+phi, once per pattern, whose point and dual bound join a gap test run
+there and then (the certificate counts these "active_set_solves"); the
+route calls no LP solver.  The primal-dual solver certifies optimality
+through an explicit duality gap: any q with ||phi.T @ q||_inf <= 1 gives
+the lower bound q @ y - epsilon * ||q||_inf on the optimal value, so a
 feasible point whose objective meets that bound up to a relative
 tolerance is accepted.  That gap test, checked on the whole problem, is
 its only stop rule besides the iteration cap, and the gap it accepted
@@ -59,6 +59,9 @@ RESTART_EVERY = 40
 RESTART_SUFFICIENT = 0.2
 RESTART_NECESSARY = 0.8
 RESTART_ARTIFICIAL = 0.36
+# The finish on the active set runs once the sign pattern of u has held
+# for this many consecutive iterations, without waiting for the next check.
+SETTLE = 3
 
 
 @dataclass
@@ -375,10 +378,31 @@ def _pdhg_step(phi, y, epsilon, u, q, phi_u, phit_q, tau, sigma):
     return u_new, q_new, phi_u_new, p
 
 
+def _least_squares_pair(a, b, c):
+    """The least-norm least-squares solutions of a x = b and of a^T z = c,
+    both from one QR factorisation: of a when it has at least as many rows
+    as columns, else of a^T, so that its triangle R is square.  A diagonal
+    entry of R within max(a.shape) * 2^-52 of the largest marks a block
+    short of full rank, which np.linalg.lstsq solves instead (two SVDs,
+    several times the cost of the factorisation at the active blocks of
+    a 128 x 256 phi)."""
+    tall = a.shape[0] >= a.shape[1]
+    basis, triangle = np.linalg.qr(a if tall else a.T)
+    diagonal = np.absolute(np.diagonal(triangle))
+    if not diagonal.min() > diagonal.max() * max(a.shape) * 2.0 ** -52:
+        return np.linalg.lstsq(a, b, rcond=None)[0], np.linalg.lstsq(a.T, c, rcond=None)[0]
+    if tall:  # a = Q R: x solves R x = Q^T b, and z = Q w with R^T w = c
+        return (np.linalg.solve(triangle, basis.T @ b),
+                basis @ np.linalg.solve(triangle.T, c))
+    # a^T = Q R: x = Q w with R^T w = b, and z solves R z = Q^T c
+    return basis @ np.linalg.solve(triangle.T, b), np.linalg.solve(triangle, basis.T @ c)
+
+
 def _active_set_solve(phi, y, epsilon, u, q, p):
     """The primal point and the dual vector that the active set of a
     PDHG iterate (u, q) and its projection p determine, by two
-    least-squares solves on the support S of u (see solve_first_order).
+    least-squares solves on the support S of u (see solve_first_order)
+    that share one factorisation (_least_squares_pair).
 
     With Z the rows where p is zero, on which the residual y - phi u is
     guessed to vanish, and rho the signs of -p on the other rows Zc,
@@ -399,8 +423,9 @@ def _active_set_solve(phi, y, epsilon, u, q, p):
         rows = np.vstack([rows, rho @ block[free]])
         rhs = np.append(rhs, rho @ y[free] - epsilon)
         start = np.append(start, _max_abs(q[free]))
-    u_new = core._embed(np.linalg.lstsq(rows, rhs, rcond=None)[0], support, u.size)
-    x = start + np.linalg.lstsq(rows.T, np.sign(u[support]) - rows.T @ start, rcond=None)[0]
+    u_active, change = _least_squares_pair(rows, rhs, np.sign(u[support]) - rows.T @ start)
+    u_new = core._embed(u_active, support, u.size)
+    x = start + change
     q_new = np.empty(q.size)
     q_new[clipped] = x[:clipped.sum()]
     if rho.size:
@@ -503,8 +528,10 @@ def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> So
     costs about as much as m iterations' mat-vecs, so a solve that ends
     sooner never pays for it.
 
-    The finish on the active set runs at a check whose gap test fails,
-    where the sign pattern of u equals the one at the previous check.
+    The sign pattern of u is tracked at every iteration, and the gap test
+    also runs at the first iteration where that pattern has held for
+    SETTLE consecutive iterations.  The finish on the active set runs at a
+    check whose gap test fails once the pattern has held that long.
     When the pair of sign patterns of u and of the dual step's projection
     p has not been tried, _active_set_solve guesses the active set from
     them: the support S of u and the rows where p is zero, on which the
@@ -557,26 +584,29 @@ def solve_first_order(phi, y, epsilon: float, config: SolverConfig = None) -> So
         # a gap below -tolerance shows an incumbent outside the ball
         return incumbent.u is not None and abs(gap) <= otol * abs(incumbent.obj)
 
-    pattern = None                 # the sign pattern of u at the previous check
+    pattern = None                 # the sign pattern of u
+    held = 0                       # the iterations it has held for, this one included
     solved = set()                 # the (u, p) sign patterns solved on their active set
     stop = "cap"
 
     for it in range(1, cfg.max_iters + 1):
         u, q, phi_u, phit_q, p = u_new, q_new, phi_u_new, phit_q_new, p_new
         run += 1
+        signs = np.sign(u).tobytes()  # np.sign maps -0.0 to 0.0
+        held = held + 1 if signs == pattern else 1
+        pattern = signs
 
         last = it == cfg.max_iters
-        if last or it % CHECK_EVERY == 0:
+        if last or it % CHECK_EVERY == 0 or held == SETTLE:
             polish = it >= m
             lower = _dual_lower_bound(q, phit_q, y, epsilon)
             incumbent.offer(u, phi_u, polish)
             gap = incumbent.obj - lower
-            settled, pattern = pattern, np.sign(u).astype(np.int8).tobytes()
             # the finish, once the sign pattern of u holds (an empty support
             # holds no feasible point here): it only offers the active set's
             # own point and dual bound to the gap test
-            if not closes(gap) and settled == pattern and u.any():
-                active = pattern + np.sign(p).astype(np.int8).tobytes()
+            if not closes(gap) and held >= SETTLE and u.any():
+                active = pattern + np.sign(p).tobytes()
                 if active not in solved:
                     solved.add(active)
                     u_active, q_active = _active_set_solve(phi, y, epsilon, u, q, p)

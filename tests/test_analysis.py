@@ -250,6 +250,17 @@ class TestTrials:
             assert cell["solved_rate"] == 1.0
             assert cell["bound_rate"] == 1.0
 
+    def test_summary_reports_the_iteration_tail(self):
+        spec = analysis.GridSpec(n=16, m_values=(12, 16), k_values=(2,), s_values=(2,),
+                                 trials=5, seed=9)
+        result = analysis.run_grid(spec)
+        for ci, cell in enumerate(result.cell_summaries()):
+            iters = [r.iters for r in result.records[ci * 5:(ci + 1) * 5]]
+            assert cell["mean_iters"] == sum(iters) / 5
+            assert cell["iters_p50"] == np.percentile(iters, 50)
+            assert cell["iters_p90"] == pytest.approx(np.percentile(iters, 90), rel=1e-12)
+            assert cell["iters_max"] == max(iters) and isinstance(cell["iters_max"], int)
+
     def test_grid_csv_layout_and_determinism(self):
         spec = analysis.GridSpec(n=8, m_values=(10, 12), k_values=(1,), s_values=(0, 1),
                                  trials=2, seed=9)

@@ -226,6 +226,28 @@ class TestMatVec:
             got, want = core.mat_vec(a, v), mat_vec_column_loop(a, v)
             assert got.tobytes() == want.tobytes(), (m, n, case)
 
+    def test_support_only_sum_same_bytes_as_column_loop(self):
+        # mat_vec skips the columns where v is zero; 3,000 seeded cases whose
+        # entries are small dyadic values, so that running sums cancel to
+        # exact zeros, with -0.0 and +0.0 in both a and v, and supports of v
+        # empty, full and in between
+        stream = Stream(RngSpec(1618))
+        nonzero = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
+        entries = np.append(nonzero, [-0.0, 0.0])
+        for case in range(3000):
+            m = 1 + stream.integer_below(6)
+            n = 1 + stream.integer_below(24)
+            a = entries[(stream.uniform(m * n) * entries.size).astype(int)].reshape(m, n)
+            if case % 7 == 3:
+                a = np.asfortranarray(stream.normal(m * n).reshape(m, n))
+            zeros = entries[6 + (stream.uniform(n) * 2).astype(int)]
+            v = nonzero[(stream.uniform(n) * nonzero.size).astype(int)]
+            support = {0: np.zeros(n, bool), 1: np.ones(n, bool)}.get(
+                case % 4, stream.uniform(n) < 0.5)
+            v = np.where(support, v, zeros)
+            got, want = core.mat_vec(a, v), mat_vec_column_loop(a, v)
+            assert got.tobytes() == want.tobytes(), (m, n, case)
+
     def test_negative_zero_products_sum_to_positive_zero(self):
         # the running sum starts at +0.0, so a row of -0.0 products gives +0.0
         got = core.mat_vec([[1.0, -2.0], [0.0, 0.0]], [-0.0, 0.0])

@@ -49,6 +49,15 @@ def _criterion_1_instance(index):
                          RngSpec(27182, index))
 
 
+def _mid_bundle(directory):
+    """The CI `mid` bundle: 256 x 128 (phi is 128 x 256), k = 5, sparse noise
+    s = 5, seed 11, made by `sl1 gen` in `directory`."""
+    bundle = str(directory / "mid")
+    assert main(["gen", "--out", bundle, "--n", "256", "--m", "128", "--k", "5",
+                 "--noise", "sparse", "--s", "5", "--seed", "11"]) == 0
+    return load_bundle(bundle)
+
+
 def _exact_grid_instance(trial):
     """Trial `trial` of the 128x64, k=4, s=4 grid at seed 14142."""
     return make_instance(128, 64, 4, {"kind": "sparse", "s": 4, "scale": 1.0},
@@ -453,10 +462,7 @@ class TestFirstOrder:
         # factorisation of the whole phi) waits for m iterations: this
         # 256x128 bundle (phi is 128 x 256) stops before that, through the
         # least-squares finish on the active block.
-        bundle = str(tmp_path / "mid")
-        assert main(["gen", "--out", bundle, "--n", "256", "--m", "128", "--k", "5",
-                     "--noise", "sparse", "--s", "5", "--seed", "11"]) == 0
-        inst = load_bundle(bundle)
+        inst = _mid_bundle(tmp_path)
 
         def refuse(*args, **kwargs):
             raise AssertionError("the first-order route factorised phi or solved an LP")
@@ -469,6 +475,18 @@ class TestFirstOrder:
         assert res.status == "optimal"
         assert res.iters < inst.phi.shape[0]
         assert res.certificate["active_set_solves"] >= 1
+
+    def test_finish_runs_once_the_sign_pattern_settles(self, tmp_path):
+        # The sign pattern of u on the mid bundle first holds for
+        # solver.SETTLE iterations at iteration 21, between two checks, and
+        # the finish there closes the gap (40 iterations while the finish
+        # waited for the pattern to repeat at two checks)
+        inst = _mid_bundle(tmp_path)
+        res = solver.solve_first_order(inst.phi, inst.y, inst.epsilon)
+        assert res.status == "optimal" and res.certificate["stop"] == "gap"
+        assert res.certificate["active_set_solves"] >= 1
+        assert res.iters % solver.CHECK_EVERY != 0
+        assert res.iters < 30
 
     def test_no_simplex_past_m_iterations(self, tmp_path, monkeypatch):
         # The bundle of the CI fallback replay and criterion-1 instances 0,
@@ -501,8 +519,10 @@ class TestFirstOrder:
         # The four slowest criterion-1 instances of the unrestarted
         # over-relaxed loop, which needed 148,640, 52,320, 25,570 and
         # 23,440 iterations; restarted PDHG with the adaptive step needs
-        # 5,570, 1,070, 1,090 and 700, and 70, 330, 30 and 120 with the
-        # finish on the active set.
+        # 5,570, 1,070, 1,090 and 700, 100, 340, 190 and 160 with the
+        # least-squares finish on the active set tried at gap checks, and
+        # 60, 323, 177 and 147 with it tried as soon as the sign pattern
+        # of u settles.
         inst = _criterion_1_instance(index)
         lp = solver.solve_lp_exact(solver.lp_formulate(inst.phi, inst.y, inst.epsilon))
         fo = solver.solve_first_order(inst.phi, inst.y, inst.epsilon,
@@ -525,8 +545,9 @@ class TestFirstOrder:
         assert fo.residual_l1 <= inst.epsilon + 1e-8
 
     # phi is 128 x 256; the active set of u and of the dual step's projection
-    # settles by iteration 20-30, where its least-squares point and dual
-    # close the gap (60 iterations each without the finish)
+    # settles by iteration 21 (noiseless) and 14 (s5), where its
+    # least-squares point and dual close the gap (60 iterations each
+    # without the finish)
     @pytest.mark.parametrize("noise", [{"kind": "none"}, {"kind": "sparse", "s": 5, "scale": 1.0}],
                              ids=["noiseless", "s5"])
     def test_least_squares_finish_before_m_iterations(self, noise):
@@ -539,6 +560,27 @@ class TestFirstOrder:
         assert fo.certificate["active_set_solves"] >= 1
         assert abs(fo.objective - lp.objective) <= 1e-9 * lp.objective
         assert fo.residual_l1 <= inst.epsilon + 1e-8
+
+    @pytest.mark.parametrize("shape", [(12, 5), (5, 12), (9, 9), (120, 111)])
+    def test_least_squares_pair_matches_lstsq(self, shape):
+        # One QR factorisation gives both least-norm least-squares solutions
+        # of the finish; a block short of full rank (a repeated column of a
+        # tall block, a repeated row of a wide one) is left to lstsq.
+        stream = Stream(RngSpec(4242))
+        rows, cols = shape
+        a = stream.normal(rows * cols).reshape(shape)
+        b, c = stream.normal(rows), stream.normal(cols)
+        x, z = solver._least_squares_pair(a, b, c)
+        assert np.allclose(x, np.linalg.lstsq(a, b, rcond=None)[0], rtol=1e-9, atol=1e-12)
+        assert np.allclose(z, np.linalg.lstsq(a.T, c, rcond=None)[0], rtol=1e-9, atol=1e-12)
+        short = a.copy()
+        if rows >= cols:
+            short[:, -1] = short[:, 0]
+        else:
+            short[-1] = short[0]
+        x, z = solver._least_squares_pair(short, b, c)
+        assert np.array_equal(x, np.linalg.lstsq(short, b, rcond=None)[0])
+        assert np.array_equal(z, np.linalg.lstsq(short.T, c, rcond=None)[0])
 
     def test_wrong_active_set_stops_nothing(self, monkeypatch):
         # A guess that misses a column of the support gives a point and a
@@ -571,8 +613,8 @@ class TestFirstOrder:
         # At a common 1e6 the finish's points on the boundary of the ball
         # exceed epsilon by rounding alone, by more than an absolute 1e-8:
         # with the slack's rounding term m * 2^-52 * (||y||_1 + epsilon)
-        # these two solves take as many iterations as at unit scale (40),
-        # against 190 and 180 without it.
+        # these two solves take as many iterations as at unit scale (110
+        # and 90), against 190 and 180 without it.
         inst = _criterion_1_instance(index)
         lp = solver.solve_lp_exact(solver.lp_formulate(inst.phi, inst.y, inst.epsilon))
         base = solver.solve_first_order(inst.phi, inst.y, inst.epsilon)
@@ -634,8 +676,10 @@ class TestFirstOrder:
     # and its two products, 19,133 before the finish on the active set,
     # 5,609 while each gap check also offered the average iterate, 4,724
     # before the least-squares finish, 3,886 while the finish also solved
-    # the LP restricted to the support after m iterations
-    MATVECS = 4_711
+    # the LP restricted to the support after m iterations, 4,711 while the
+    # finish waited for the sign pattern of u to repeat at two gap checks
+    # and solved its two least-squares systems by np.linalg.lstsq
+    MATVECS = 4_050
 
     def test_matvec_count_pinned(self, monkeypatch):
         class CountingMatrix(np.ndarray):
@@ -788,7 +832,7 @@ class TestInputChecks:
     def test_first_order_checks_its_inputs_once(self, monkeypatch):
         # phi and y are checked at the entry; the loop, the finish and the
         # polish trust them, so the count does not grow with the iterations
-        # (seed 1: 20 iterations; seed 3: 300, with restarts and the polish)
+        # (seed 1: 7 iterations; seed 3: 300, with restarts and the polish)
         checks = _record_checks(monkeypatch)
         counts = []
         for seed in (1, 3):
@@ -796,7 +840,7 @@ class TestInputChecks:
             checks.clear()
             iters = solver.solve_first_order(inst.phi, inst.y, inst.epsilon).iters
             counts.append((iters, sorted(checks)))
-        assert counts == [(20, ["phi", "y"]), (300, ["phi", "y"])]
+        assert counts == [(7, ["phi", "y"]), (300, ["phi", "y"])]
 
 
 class TestResultSerialization:
